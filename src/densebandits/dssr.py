@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, star_edges
+from .graph import Graph
 from .oracle import SamplingOracle
 
 
@@ -57,6 +57,10 @@ class PeelingState:
 
 @dataclass
 class DssrDiagnostics:
+    """One run's record. The query counts, the histogram and the cumulative
+    columns of ``phase_rows`` (queries and single-edge queries so far) count
+    this run's queries only, even on an oracle that served earlier runs."""
+
     removal_order: list[int] = field(default_factory=list)
     fhat_trace: list[float] = field(default_factory=list)
     phase_rows: list[tuple[int, int, float, int, int]] = field(default_factory=list)
@@ -121,27 +125,30 @@ def sample_phase_vertex(state: PeelingState, schedule: BudgetSchedule, t: int, v
     the carried estimate by count-weighted average); star changed because v
     neighbored the removed vertex (history dropped, T_prime(t) fresh
     observations). Phase 1 has no prior removal, so every vertex takes the
-    merge branch starting from an empty history.
+    merge branch starting from an empty history. An unchanged star with
+    tau_t = 0 returns before the star is built: a vertex left without
+    neighbors was zeroed in the phase its last neighbor went.
     """
     if not state.alive[v]:
         raise ValueError(f"vertex {v} was already removed")
-    members = np.flatnonzero(state.alive)
-    star = star_edges(state.G, members, v)
+    adjacency = state.G.adjacency[v]
+    changed = state.last_removed is not None and any(
+        u == state.last_removed for u, _ in adjacency
+    )
+    if not changed and schedule.tau[t - 1] == 0:
+        return
+    alive = state.alive
+    star = sorted(idx for u, idx in adjacency if alive[u])
     if not star:
         state.est[v] = 0.0
         state.counts[v] = 0
         return
-    changed = state.last_removed is not None and any(
-        u == state.last_removed for u, _ in state.G.adjacency[v]
-    )
     if changed:
         k = schedule.T_prime[t - 1]
         state.est[v] = _fresh_mean(state.oracle, star, k)
         state.counts[v] = k
     else:
         k = schedule.tau[t - 1]
-        if k == 0:
-            return
         fresh = _fresh_mean(state.oracle, star, k)
         c = int(state.counts[v])
         if c == 0 or fresh == state.est[v]:
@@ -169,7 +176,10 @@ def run_dssr(G: Graph, oracle: SamplingOracle, T: int) -> tuple[tuple[int, ...],
         counts=np.zeros(G.n, dtype=np.int64),
     )
     diag = DssrDiagnostics()
+    # the oracle's counters may carry earlier runs; report this run's share
     start_total = oracle.total_queries
+    start_single = oracle.single_edge_queries
+    start_hist = dict(oracle.histogram)
     best_f = -math.inf
     best_set: tuple[int, ...] = tuple(range(G.n))
     for t in range(1, G.n):
@@ -179,7 +189,13 @@ def run_dssr(G: Graph, oracle: SamplingOracle, T: int) -> tuple[tuple[int, ...],
         fhat = 0.5 * float(state.est[members].sum()) / members.size
         diag.fhat_trace.append(fhat)
         diag.phase_rows.append(
-            (t, int(members.size), fhat, oracle.total_queries, oracle.single_edge_queries)
+            (
+                t,
+                int(members.size),
+                fhat,
+                oracle.total_queries - start_total,
+                oracle.single_edge_queries - start_single,
+            )
         )
         if fhat > best_f:
             best_f = fhat
@@ -193,6 +209,10 @@ def run_dssr(G: Graph, oracle: SamplingOracle, T: int) -> tuple[tuple[int, ...],
         raise RuntimeError(f"budget violated: issued {used} queries with T={T}")
     diag.best_phase_size = len(best_set)
     diag.total_queries = used
-    diag.single_edge_queries = oracle.single_edge_queries
-    diag.histogram = dict(oracle.histogram)
+    diag.single_edge_queries = oracle.single_edge_queries - start_single
+    diag.histogram = {
+        size: count - start_hist.get(size, 0)
+        for size, count in oracle.histogram.items()
+        if count > start_hist.get(size, 0)
+    }
     return best_set, diag

@@ -4,20 +4,47 @@ The objective is f_w(S) = w(E(S)) / |S| over nonempty vertex sets S, where
 w(E(S)) sums the weights of edges with both endpoints in S.
 
 ``exact_densest`` reduces the fractional objective to a sequence of s-t
-min-cut tests. For a guess g = p/q the gadget has source arcs s->v of
-capacity q*M, sink arcs v->t of capacity q*M + 2p - q*d(v), and both-way arcs
-of capacity q*w(uv) per edge; a source-side set S beats the guess exactly
-when its cut is smaller than the empty cut n*q*M. Iterating the guess on the
-best set found converges to the optimum in a handful of max-flow calls. All
-capacities are integers (weights are pre-scaled and rounded), so the
-iteration and the optimality test are exact on the rounded instance.
+min-cut tests (Goldberg 1984). For a guess g = p/q the gadget has source arcs
+s->v of capacity q*M, sink arcs v->t of capacity q*M + 2p - q*d(v), and
+both-way arcs of capacity q*w(uv) per edge; a source-side set S beats the
+guess exactly when its cut is smaller than the empty cut n*q*M. Iterating the
+guess on the best set found (Dinkelbach) converges to the optimum in a
+handful of max-flow calls. All capacities are integers (weights are
+pre-scaled and rounded), so the iteration and the optimality test are exact
+on the rounded instance.
+
+Three things keep the repeated solves cheap:
+
+- Warm start. The iteration may start from any nonempty set, which a local
+  search (add or drop one vertex while that raises the density) polishes
+  first; a start that is then optimal costs a single max-flow call, which
+  proves it optimal. Cold solves start from a greedy peel.
+- Gadget reuse. The arc arrays depend only on the graph, so they are built
+  once and kept in a one-entry cache keyed by the ``Graph`` value; each guess
+  refills only the capacities. An excluded vertex keeps its arcs but no
+  edge capacity, so nothing reaches it from s; a forced vertex gets a
+  source arc no cut can afford.
+- Pre-saturation. Before the first Dinic phase the direct path s->v->t of
+  every vertex carries min(q*M, q*M + 2p - q*d(v)), which leaves each vertex
+  with a source arc of q*d(v) - 2p or a sink arc of 2p - q*d(v), not both,
+  and removes M from the residual network altogether. One greedy pass then
+  pushes what it can along the two-hop paths s->u->v->t, which leaves Dinic
+  a few longer augmenting paths instead of dozens of short ones.
 
 Ties are broken toward the smallest cardinality set, then lexicographically
 smallest membership. At the optimal guess every maximizer is the source side
-of some minimum cut, and the minimal maximizer containing a vertex u is the
-residual-reachability closure of {s, u}; scanning u over the union of all
-maximizers (vertices that cannot reach t in the residual network) therefore
-enumerates every minimum-cardinality maximizer.
+of some minimum cut. So is the empty set, so the residual closure of s holds
+no vertex; the minimal maximizer containing a vertex u is the closure of
+{s, u}, and the union of all maximizers is the set of vertices that cannot
+reach t. When the union is strongly connected in the residual network, which
+is the case exactly when the maximizer is unique, it is the answer, found
+with one search each way; otherwise the closures of its vertices are
+compared, which enumerates every minimum-cardinality maximizer. The
+tie-break does not depend on the start or on which maximum flow was found:
+Dinkelbach ends at the unique optimal p/q of the rounded instance, and the
+sets read off the residual network (reachable from s, reaching t, and each
+closure) are the minimum cuts' lattice, which is the same for every maximum
+flow (Picard-Queyranne 1980).
 
 An equivalent exact LP formulation (kept as a reference, not used): maximize
 sum_e w_e y_e subject to y_e <= x_u and y_e <= x_v for each edge e = {u, v},
@@ -41,12 +68,14 @@ _FLOW_HEADROOM = 2**61
 
 @dataclass(frozen=True)
 class DensestResult:
-    """A maximizing vertex set, its density under the given weights, and a
-    flag marking the degenerate all-zero-weight case."""
+    """A maximizing vertex set, its density under the given weights, a flag
+    marking the degenerate all-zero-weight case, and the max-flow calls the
+    solve took."""
 
     subset: tuple[int, ...]
     value: float
     degenerate: bool = False
+    flow_calls: int = 0
 
 
 @dataclass(frozen=True)
@@ -65,11 +94,10 @@ class PeelingTrace:
 
 
 def _weighted_degrees(G: Graph, w: np.ndarray) -> np.ndarray:
-    deg = np.zeros(G.n)
-    for idx, (u, v) in enumerate(G.edges):
-        deg[u] += w[idx]
-        deg[v] += w[idx]
-    return deg
+    # endpoints interleaved in edge order, so each vertex sums its edges in
+    # ascending index order, as a per-edge loop would
+    ends = np.asarray(G.edges, dtype=np.intp).reshape(-1)
+    return np.bincount(ends, weights=np.repeat(w, 2), minlength=G.n)
 
 
 def _integer_scale(G: Graph, w: np.ndarray) -> int:
@@ -157,246 +185,347 @@ def brute_force_densest(G: Graph, w, max_n: int = 20) -> DensestResult:
     return DensestResult(subset=members, value=best, degenerate=not bool(np.any(w > 0)))
 
 
-class _Dinic:
-    """Max flow with exact (arbitrary-precision) integer capacities.
+def _maxflow(to: list[int], adj: list[list[int]], cap: list[int], s: int, t: int) -> list[int]:
+    """Dinic max flow, in place on ``cap``; returns the last BFS levels.
 
-    Arcs are stored in pairs so ``a ^ 1`` is the reverse of arc ``a``; after
-    ``maxflow`` the ``cap`` array holds residual capacities directly. A
-    dedicated implementation is used because library flow routines either
-    truncate to 32-bit capacities or work in floating point, and the solver
+    Arcs come in pairs so ``a ^ 1`` is the reverse of arc ``a``; afterwards
+    ``cap`` holds residual capacities, and level[v] >= 0 exactly when v is
+    reachable from s. Capacities are Python ints: library flow routines
+    either truncate to 32 bits or work in floating point, and the solver
     needs exact arithmetic on capacities of order 2^50.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add(self, u: int, v: int, c: int, rc: int = 0) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(rc)
-
-    def maxflow(self, s: int, t: int) -> int:
-        to, cap, adj = self.to, self.cap, self.adj
-        total = 0
+    nn = len(adj)
+    while True:
+        level = [-1] * nn
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            nxt = level[u] + 1
+            for a in adj[u]:
+                v = to[a]
+                if cap[a] and level[v] < 0:
+                    level[v] = nxt
+                    queue.append(v)
+            if level[t] >= 0:
+                break
+        else:
+            return level
+        it = [0] * nn
+        path: list[int] = []  # arcs from s to u
+        u = s
         while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                base = level[u] + 1
-                for a in adj[u]:
-                    v = to[a]
-                    if cap[a] > 0 and level[v] == -1:
-                        level[v] = base
-                        queue.append(v)
-            if level[t] == -1:
-                return total
-            it = [0] * self.n
-            stack = [s]
-            path: list[int] = []
-            while stack:
-                u = stack[-1]
-                if u == t:
-                    aug = min(cap[a] for a in path)
-                    total += aug
-                    for a in path:
-                        cap[a] -= aug
-                        cap[a ^ 1] += aug
-                    cut = next(i for i, a in enumerate(path) if cap[a] == 0)
-                    del stack[cut + 1 :]
-                    del path[cut:]
-                    continue
-                advanced = False
-                while it[u] < len(adj[u]):
-                    a = adj[u][it[u]]
-                    v = to[a]
-                    if cap[a] > 0 and level[v] == level[u] + 1:
-                        stack.append(v)
-                        path.append(a)
-                        advanced = True
-                        break
-                    it[u] += 1
-                if not advanced:
-                    level[u] = -1
-                    stack.pop()
-                    if path:
-                        path.pop()
+            if u == t:
+                # bottleneck and the first arc it saturates, in one pass
+                aug = cap[path[0]]
+                cut = 0
+                for i in range(1, len(path)):
+                    c = cap[path[i]]
+                    if c < aug:
+                        aug, cut = c, i
+                for a in path:
+                    cap[a] -= aug
+                    cap[a ^ 1] += aug
+                del path[cut:]
+                u = to[path[-1]] if path else s
+                continue
+            arcs = adj[u]
+            want = level[u] + 1
+            for i in range(it[u], len(arcs)):
+                a = arcs[i]
+                if cap[a] and level[to[a]] == want:
+                    it[u] = i
+                    path.append(a)
+                    u = to[a]
+                    break
+            else:
+                if u == s:
+                    break
+                level[u] = -1  # dead end for the rest of the phase
+                path.pop()
+                u = to[path[-1]] if path else s
+                it[u] += 1
+
+
+class _Gadget:
+    """Arc arrays of the flow network of one graph.
+
+    Node 0 is s, vertex v is node v + 1 and t is node n + 1. Arc 2v is s->v,
+    arc 2n + 2v is v->t, and arc 4n + 2e carries edge e = (u, v) from u to v
+    (its pair, v to u, is the other direction of the undirected edge); the
+    pair of arc a is a ^ 1. The arcs v->s are left out of the adjacency: no
+    s-t path and no closure outside that of s uses them; t lists the pairs
+    of the sink arcs, for the search of the vertices that reach t. A vertex
+    lists its sink arc first, so a search that can end at t does so at once.
+    """
+
+    def __init__(self, G: Graph):
+        n = G.n
+        self.n = n
+        self.sink = t = n + 1
+        self.to: list[int] = []
+        for v in range(n):
+            self.to += (v + 1, 0)
+        for v in range(n):
+            self.to += (t, v + 1)
+        for u, v in G.edges:
+            self.to += (v + 1, u + 1)
+        self.adj: list[list[int]] = (
+            [list(range(0, 2 * n, 2))]
+            + [[2 * n + 2 * v] for v in range(n)]
+            + [list(range(2 * n + 1, 4 * n, 2))]
+        )
+        for e, (u, v) in enumerate(G.edges):
+            self.adj[u + 1].append(4 * n + 2 * e)
+            self.adj[v + 1].append(4 * n + 2 * e + 1)
+
+
+_gadget_cache: tuple[Graph, _Gadget] | None = None
+
+
+def _gadget_for(G: Graph) -> _Gadget:
+    """The gadget of G, rebuilt only when a different graph comes in.
+
+    Keyed by value: an equal graph built anew reuses the arcs, and a new
+    graph that happens to get a freed graph's id() does not.
+    """
+    global _gadget_cache
+    if _gadget_cache is None or _gadget_cache[0] != G:
+        _gadget_cache = (G, _Gadget(G))
+    return _gadget_cache[1]
 
 
 class _CutSolver:
-    """Parametric min-cut machinery for one rounded instance."""
+    """Parametric min-cut machinery for one rounded instance.
 
-    def __init__(self, G: Graph, what: np.ndarray, alive: np.ndarray, force: int | None):
+    ``exclude`` drops one vertex from the graph and ``force`` keeps one in
+    every candidate set; ``flow_calls`` counts the max-flow runs.
+    """
+
+    def __init__(self, G: Graph, what: np.ndarray, exclude: int | None = None, force: int | None = None):
         self.G = G
-        self.what = what
+        self.gadget = _gadget_for(G)
+        self.exclude = exclude
         self.force = force
-        self.vertices = [int(v) for v in np.flatnonzero(alive)]
-        self.pos = {v: i + 1 for i, v in enumerate(self.vertices)}  # gadget ids; s=0
-        self.nv = len(self.vertices)
-        self.sink = self.nv + 1
-        self.edges = [
-            (u, v, idx, int(what[idx]))
-            for idx, (u, v) in enumerate(G.edges)
-            if alive[u] and alive[v] and what[idx] > 0
-        ]
-        self.deg = {v: 0 for v in self.vertices}
-        for u, v, _, c in self.edges:
-            self.deg[u] += c
-            self.deg[v] += c
-        self.max_deg = max(self.deg.values(), default=0)
+        self.vertices = [v for v in range(G.n) if v != exclude]
+        c = what.tolist()
+        deg = [0] * G.n
+        for (u, v), cu in zip(G.edges, c):
+            deg[u] += cu
+            deg[v] += cu
+        if exclude is not None:
+            for u, idx in G.adjacency[exclude]:
+                deg[u] -= c[idx]
+                c[idx] = 0
+            deg[exclude] = 0
+        self.c = c
+        self.deg = deg
+        self.flow_calls = 0
 
     def weight_of(self, members) -> int:
-        s = set(members)
-        return sum(c for u, v, _, c in self.edges if u in s and v in s)
+        inside = set(members)
+        c, adjacency = self.c, self.G.adjacency
+        return sum(c[idx] for u in members for v, idx in adjacency[u] if v > u and v in inside)
 
-    def min_cut(self, p: int, q: int):
-        """Max-flow at guess p/q; returns (source_side, residual adjacency)."""
-        M = max(1, self.max_deg)
-        inf_cap = 4 * self.nv * q * M + 1
-        nn = self.nv + 2
-        net = _Dinic(nn)
-        for v in self.vertices:
-            i = self.pos[v]
-            net.add(0, i, inf_cap if v == self.force else q * M)
-            net.add(i, self.sink, q * M + 2 * p - q * self.deg[v])
-        for u, v, _, c in self.edges:
-            # one arc pair carries both directions of the undirected edge
-            net.add(self.pos[u], self.pos[v], q * c, q * c)
-        net.maxflow(0, self.sink)
-        adj: list[list[int]] = [[] for _ in range(nn)]
-        radj: list[list[int]] = [[] for _ in range(nn)]
-        for a in range(len(net.to)):
-            if net.cap[a] > 0:
-                i, j = net.to[a ^ 1], net.to[a]
-                adj[i].append(j)
-                radj[j].append(i)
-        reach_s = self._bfs(adj, [0])
-        members = sorted(self.vertices[i - 1] for i in reach_s if 1 <= i <= self.nv)
-        return members, adj, radj, reach_s
+    def _capacities(self, p: int, q: int) -> list[int]:
+        """Residual capacities at guess p/q once s->v->t and then, greedily
+        in edge order, s->u->v->t paths are saturated. Arcs into s and out
+        of t start empty: no s-t path or closure needs them."""
+        n = self.gadget.n
+        r = [2 * p - q * d for d in self.deg]
+        src = [-x if x < 0 else 0 for x in r]
+        snk = [x if x > 0 else 0 for x in r]
+        qc = [q * c for c in self.c]
+        if self.force is not None:
+            snk[self.force] = 0
+            src[self.force] = 1 + sum(src) + sum(snk) + 2 * sum(qc)  # uncuttable
+        fwd, bwd = qc, qc.copy()
+        for e, (u, v) in enumerate(self.G.edges):
+            c = qc[e]
+            if not c:
+                continue
+            f = min(src[u], c, snk[v])
+            if f:
+                src[u] -= f
+                snk[v] -= f
+                fwd[e] = c - f
+                bwd[e] = c + f
+            f = min(src[v], bwd[e], snk[u])
+            if f:
+                src[v] -= f
+                snk[u] -= f
+                bwd[e] -= f
+                fwd[e] += f
+        cap = [0] * len(self.gadget.to)
+        cap[0 : 2 * n : 2] = src
+        cap[2 * n : 4 * n : 2] = snk
+        cap[4 * n :: 2] = fwd
+        cap[4 * n + 1 :: 2] = bwd
+        return cap
 
-    @staticmethod
-    def _bfs(adj: list[list[int]], starts: list[int]) -> set[int]:
-        seen = set(starts)
-        frontier = list(starts)
-        while frontier:
-            nxt: list[int] = []
-            for i in frontier:
-                for j in adj[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        return seen
+    def _greedy_start(self) -> list[int]:
+        sub_w = np.asarray(self.c, dtype=np.float64)
+        seed_alive = np.ones(self.G.n, dtype=bool)
+        if self.exclude is not None:
+            seed_alive[self.exclude] = False
+        return _greedy_on_subgraph(self.G, sub_w, seed_alive)
 
-    def solve(self, tie_break: bool) -> tuple[list[int], int, int]:
-        """Dinkelbach iteration; returns (best_set, p, q) with p/q optimal."""
-        if not self.edges:
-            v = self.force if self.force is not None else self.vertices[0]
-            return [v], 0, 1
-        sub_w = np.zeros(self.G.m, dtype=np.float64)
-        for _, _, idx, c in self.edges:
-            sub_w[idx] = float(c)
-        seed_alive = np.zeros(self.G.n, dtype=bool)
-        seed_alive[self.vertices] = True
-        start = set(_greedy_on_subgraph(self.G, sub_w, seed_alive))
+    def solve(self, start=None, tie_break: bool = True) -> list[int]:
+        """Dinkelbach iteration from ``start`` (greedy peel when None).
+
+        With ``tie_break`` the canonical maximizer is returned, otherwise the
+        union of all maximizers; neither depends on the start.
+        """
+        if not any(self.c):
+            return [self.force if self.force is not None else self.vertices[0]]
+        start = set(self._greedy_start() if start is None else start)
         if self.force is not None:
             start.add(self.force)
-        best = sorted(start)
-        p, q = self.weight_of(best), len(best)
+        p, q = self._polish(start)
         g = math.gcd(p, q)
         p, q = p // g, q // g
+        gadget = self.gadget
         for _ in range(200):
-            members, adj, radj, reach_s = self.min_cut(p, q)
-            improves = members and q * self.weight_of(members) > p * len(members)
-            if not improves:
-                if tie_break:
-                    best = self._canonical(members, adj, radj, reach_s, p, q)
-                return best, p, q
-            best = members
-            p, q = self.weight_of(members), len(members)
-            g = math.gcd(p, q)
-            p, q = p // g, q // g
+            cap = self._capacities(p, q)
+            level = _maxflow(gadget.to, gadget.adj, cap, 0, gadget.sink)
+            self.flow_calls += 1
+            members = [v for v in self.vertices if level[v + 1] >= 0]
+            if members:
+                weight = self.weight_of(members)
+                if q * weight > p * len(members):
+                    p, q = weight, len(members)
+                    g = math.gcd(p, q)
+                    p, q = p // g, q // g
+                    continue
+            reach_t = set(self._search(cap, gadget.sink, back=True))
+            if not tie_break:
+                return [v for v in self.vertices if v + 1 not in reach_t]
+            return self._canonical(cap, reach_t, p, q)
         raise RuntimeError("density iteration failed to converge")
 
-    def _canonical(self, base, adj, radj, reach_s, p: int, q: int) -> list[int]:
-        """Smallest-cardinality, then lexicographic, maximizer extraction."""
-        reach_t = self._bfs(radj, [self.sink])
-        base_ids = set(reach_s)
-        candidates: list[tuple[int, tuple[int, ...]]] = []
-        if base:
-            candidates.append((len(base), tuple(base)))
-        for i in range(1, self.nv + 1):
-            if i in reach_t or i in base_ids:
-                continue
-            closed = self._bfs(adj, [i]) | base_ids
-            members = tuple(sorted(self.vertices[j - 1] for j in closed if 1 <= j <= self.nv))
-            candidates.append((len(members), members))
-        _, members = min(candidates)
+    def _polish(self, members) -> tuple[int, int]:
+        """Local search from ``members``: add or drop the vertex that raises
+        the density most, while one does; returns the weight and size of the
+        set it ends at.
+
+        An optimum under nearby weights is usually one move from the new
+        optimum, so the first max-flow call can prove it optimal.
+        """
+        c, adjacency = self.c, self.G.adjacency
+        inside = [False] * self.G.n
+        into = [0] * self.G.n  # weight of the edges from each vertex into the set
+        for u in members:
+            inside[u] = True
+            for x, idx in adjacency[u]:
+                into[x] += c[idx]
+        weight = sum(into[u] for u in members) // 2
+        size = len(members)
+        while True:
+            move = None
+            num, den = weight, size
+            for v in self.vertices:
+                if not inside[v]:
+                    cand = (weight + into[v], size + 1)
+                elif size > 1 and v != self.force:
+                    cand = (weight - into[v], size - 1)
+                else:
+                    continue
+                if cand[0] * den > num * cand[1]:
+                    move, (num, den) = v, cand
+            if move is None:
+                return weight, size
+            sign = -1 if inside[move] else 1
+            inside[move] = not inside[move]
+            for x, idx in adjacency[move]:
+                into[x] += sign * c[idx]
+            weight, size = num, den
+
+    def _search(self, cap: list[int], root: int, back: bool = False, within=None) -> list[int]:
+        """Nodes that ``root`` reaches in the residual network, or with
+        ``back`` the nodes that reach ``root``; only through the nodes
+        ``within`` when that is given."""
+        to, adj = self.gadget.to, self.gadget.adj
+        flip = 1 if back else 0
+        seen = {root}
+        queue = [root]
+        for u in queue:
+            for a in adj[u]:
+                v = to[a]
+                if cap[a ^ flip] and v not in seen and (within is None or v in within):
+                    seen.add(v)
+                    queue.append(v)
+        return queue
+
+    def _canonical(self, cap, reach_t, p: int, q: int) -> list[int]:
+        """Smallest-cardinality, then lexicographic, maximizer extraction.
+
+        Runs at the optimal guess without a forced vertex, where the closure
+        of s holds no vertex. The union of all maximizers is closed, so a
+        vertex of it that reaches all of it and is reached from all of it
+        makes it strongly connected and the only candidate. Otherwise each
+        vertex of the union gives one candidate: its residual closure.
+        """
+        union = [v + 1 for v in self.vertices if v + 1 not in reach_t]
+        root, size = union[0], len(union)
+        forward = self._search(cap, root)
+        if len(forward) == size and len(self._search(cap, root, True, set(union))) == size:
+            members = [i - 1 for i in union]
+        else:
+            closures = (sorted(x - 1 for x in self._search(cap, i)) for i in union)
+            members = min((len(c), c) for c in closures)[1]
         assert q * self.weight_of(members) == p * len(members)
-        return list(members)
+        return members
 
 
 def _greedy_on_subgraph(G: Graph, w: np.ndarray, alive: np.ndarray) -> list[int]:
+    """Densest prefix of a greedy peel of the alive subgraph (a cold start)."""
     degs = _weighted_degrees(G, w)
-    degs[~alive] = 0.0
-    live = alive.copy()
-    best_set: list[int] = []
-    best_num, best_den = -1.0, 1
-    for size in range(int(live.sum()), 0, -1):
-        members = np.flatnonzero(live)
-        num = 0.5 * float(degs[members].sum())
+    degs[~alive] = math.inf
+    num = 0.5 * float(degs[alive].sum())
+    order: list[int] = []
+    best_num, best_den, best_removed = -1.0, 1, 0
+    for size in range(int(alive.sum()), 0, -1):
         if num * best_den > best_num * size:
-            best_num, best_den = num, size
-            best_set = [int(x) for x in members]
+            best_num, best_den, best_removed = num, size, len(order)
         if size == 1:
             break
-        v = int(members[np.argmin(degs[members])])
-        live[v] = False
+        v = int(np.argmin(degs))
+        num -= float(degs[v])
+        degs[v] = math.inf
+        order.append(v)
         for u, idx in G.adjacency[v]:
-            if live[u]:
+            if degs[u] != math.inf:
                 degs[u] -= w[idx]
-    return best_set
+    removed = set(order[:best_removed])
+    return [v for v in np.flatnonzero(alive).tolist() if v not in removed]
 
 
-def _solve_constrained(
-    G: Graph,
-    w: np.ndarray,
-    what: np.ndarray,
-    exclude: set[int],
-    force: int | None,
-    tie_break: bool,
-) -> tuple[int, ...] | None:
-    alive = np.ones(G.n, dtype=bool)
-    for v in exclude:
-        alive[v] = False
-    if not alive.any():
-        return None
-    solver = _CutSolver(G, what, alive, force)
-    members, _, _ = solver.solve(tie_break=tie_break)
-    return tuple(members)
+def _rounded(G: Graph, w: np.ndarray) -> np.ndarray:
+    K = _integer_scale(G, w) if np.any(w > 0) else 1
+    return np.rint(w * K).astype(np.int64)
 
 
-def exact_densest(G: Graph, w) -> DensestResult:
+def exact_densest(G: Graph, w, start=None) -> DensestResult:
     """Globally optimal density subset.
 
     Weights are scaled to integers before solving, with the scale chosen so
     the densest-value error is far below 1e-9 on graphs of a few thousand
     vertices. The reported value is the true (unrounded) density of the
     returned set. All-zero weights degenerate to ({0}, 0.0) with a flag.
+
+    ``start``, a nonempty vertex set, seeds the density iteration in place
+    of a greedy peel; a good start (such as the optimum under nearby
+    weights) saves max-flow calls. The result does not depend on it.
     """
     w = as_weight_vector(G, w)
+    if start is not None:
+        start = as_vertex_set(G, start)
+        if not start:
+            raise ValueError("start set must be nonempty")
     if not np.any(w > 0):
         return DensestResult(subset=(0,), value=0.0, degenerate=True)
-    K = _integer_scale(G, w)
-    what = np.rint(w * K).astype(np.int64)
-    subset = _solve_constrained(G, w, what, set(), None, tie_break=True)
-    return DensestResult(subset=subset, value=density(G, w, subset))
+    solver = _CutSolver(G, _rounded(G, w))
+    subset = tuple(solver.solve(start, tie_break=True))
+    return DensestResult(subset=subset, value=density(G, w, subset), flow_calls=solver.flow_calls)
 
 
 def second_best_density(G: Graph, w, best) -> float:
@@ -404,24 +533,26 @@ def second_best_density(G: Graph, w, best) -> float:
 
     Runs one constrained solve per vertex: excluding each member of ``best``
     and forcing each non-member. Every set other than ``best`` is feasible
-    for at least one of these, so the max over them is the second-best value.
+    for at least one of these, and no solve returns ``best`` itself (an
+    exclude-v solve lacks v, a force-v solve holds it), so the max over them
+    is the second-best value. Each solve is warm-started from its nearest
+    feasible neighbour of ``best`` (best - {v} or best + {v}), all of them
+    share one flow gadget, and each returns the union of its maximizers, so
+    the value depends on neither the starts nor the flows found.
     """
     w = as_weight_vector(G, w)
     best = as_vertex_set(G, best)
     if G.n < 2:
         raise ValueError("second-best density needs at least two vertices")
-    K = _integer_scale(G, w) if np.any(w > 0) else 1
-    what = np.rint(w * K).astype(np.int64)
+    what = _rounded(G, w)
     best_members = set(best)
     runner_value = -math.inf
     for v in range(G.n):
         if v in best_members:
-            cand = _solve_constrained(G, w, what, {v}, None, tie_break=False)
+            solver = _CutSolver(G, what, exclude=v)
+            cand = solver.solve(best_members - {v} or None, tie_break=False)
         else:
-            cand = _solve_constrained(G, w, what, set(), v, tie_break=False)
-        if cand is None or cand == best:
-            continue
+            solver = _CutSolver(G, what, force=v)
+            cand = solver.solve(best_members | {v}, tie_break=False)
         runner_value = max(runner_value, density(G, w, cand))
-    if runner_value == -math.inf:
-        raise RuntimeError("no candidate distinct from the best set was found")
     return runner_value

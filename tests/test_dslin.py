@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from densebandits.graph import Graph
+from densebandits.graph import Graph, load_edge_list
 from densebandits.dslin import (
     ArmFamily,
     DsLinParams,
@@ -19,7 +20,10 @@ from densebandits.dslin import (
     select_arm,
     update,
 )
-from densebandits.oracle import make_oracle
+from densebandits.experiments import knockout_weights
+from densebandits.oracle import NoiseModel, make_oracle
+
+from conftest import data_path
 
 
 def scalar_state(lam=1.0, R=1.0, L=1.0, delta=0.1):
@@ -287,3 +291,40 @@ class TestRunDsLin:
         oracle = make_oracle(lollipop, np.ones(4), seed=0)
         with pytest.raises(ValueError):
             run_dslin(lollipop, fam, oracle, DsLinParams(), max_iters=10, stop_mode="bogus")
+
+
+class TestWarmStartedRun:
+    """The karate setting of the acceptance batch: k = 10, family seed 0,
+    lambda = 100, knockout weights with seed 0, Gaussian noise R = 1."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        G = load_edge_list(data_path("karate.txt"))
+        w = knockout_weights(G, seed=0)
+        family = generate_arm_family(G, k=10, seed=0)
+        params = DsLinParams(epsilon=0.1, delta=0.1, lam=100.0, R=1.0)
+        return G, w, family, params
+
+    def run(self, setting, max_iters, seed=0):
+        G, w, family, params = setting
+        oracle = make_oracle(G, w, NoiseModel(kind="gaussian-per-edge", R=1.0), seed)
+        return run_dslin(G, family, oracle, params, max_iters)
+
+    def test_about_one_flow_call_per_solve(self, setting):
+        G = setting[0]
+        _, diag = self.run(setting, G.m + 200)
+        solves = len(diag.incumbent_density_trace)
+        assert solves == 201
+        assert solves <= diag.flow_calls <= 1.1 * solves
+
+    def test_seeded_run_is_pinned(self, setting):
+        # recorded before the solver was warm-started; any change to the
+        # incumbents or to their densities shows here
+        subset, diag = self.run(setting, 300)
+        trace = np.asarray(diag.incumbent_density_trace, dtype=np.float64)
+        assert subset == (0, 4, 5, 6, 9, 22)
+        assert trace.size == 223
+        assert trace[0] == 66.597594234126
+        assert trace[-1] == 70.31029019300732
+        digest = hashlib.sha256(trace.tobytes()).hexdigest()
+        assert digest == "3ac07e1e4e5e95750395a2cf3b978a7b65e73697677eea70419175fcf64cfdb2"

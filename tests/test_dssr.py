@@ -11,6 +11,7 @@ from densebandits.dssr import (
     run_dssr,
     sample_phase_vertex,
 )
+from densebandits.experiments import knockout_weights
 from densebandits.oracle import make_oracle
 from densebandits.solvers import greedy_peeling, peeling_trace
 
@@ -132,6 +133,20 @@ class TestPhaseSampling:
         assert state.est[1] == pytest.approx(10.25)
         assert state.counts[1] == 2
 
+    def test_vertex_isolated_by_removal_is_zeroed(self, lollipop):
+        state = state_for(lollipop, np.ones(4))
+        sch = BudgetSchedule(
+            T=0, n=4, harmonic=0.0, overhead=0, T_tilde=(0, 0), T_prime=(2, 3), tau=(2, 0)
+        )
+        state.est[3] = 4.0
+        state.counts[3] = 2
+        state.alive[0] = False
+        state.last_removed = 0  # the pendant's only neighbor
+        sample_phase_vertex(state, sch, 2, 3)
+        assert state.est[3] == 0.0
+        assert state.counts[3] == 0
+        assert state.oracle.total_queries == 0
+
     def test_removed_vertex_rejected(self, lollipop):
         state = state_for(lollipop, np.ones(4))
         sch = build_schedule(100, 4)
@@ -173,6 +188,16 @@ class TestRunDssr:
         assert cum == sorted(cum)
         sizes = [row[1] for row in diag.phase_rows]
         assert sizes == list(range(34, 1, -1))
+
+    def test_diagnostics_count_this_run_only(self, karate):
+        oracle = make_oracle(karate, knockout_weights(karate, seed=0), seed=0)
+        run_dssr(karate, oracle, 1000)
+        _, diag = run_dssr(karate, oracle, 1000)
+        assert oracle.total_queries == 388
+        assert diag.total_queries == 194
+        assert sum(diag.histogram.values()) == 194
+        assert diag.single_edge_queries == diag.histogram.get(1, 0) == 55
+        assert diag.phase_rows[-1][3:] == (194, 55)
 
     def test_edgeless_graph_keeps_everything(self):
         G = Graph.from_edges([(0, 1)], 5)

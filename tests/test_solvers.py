@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densebandits.experiments import knockout_weights
 from densebandits.graph import Graph, density, induced_edges
 from densebandits.solvers import (
     brute_force_densest,
@@ -44,6 +45,12 @@ class TestExactDensest:
         res = exact_densest(lollipop, w)
         assert res.subset == (0, 1, 2)
         assert res.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_tie_whose_union_is_not_strongly_connected(self):
+        # the pendant 0 ties the triangle 1-2-3 at density 1.0; in the union
+        # of the two maximizers vertex 0 reaches the triangle but not back
+        G = Graph.from_edges([(0, 1), (1, 2), (1, 3), (2, 3)], 4)
+        assert exact_densest(G, np.ones(4)).subset == (1, 2, 3)
 
     def test_star_and_clique(self, star4, k4):
         res = exact_densest(star4, np.ones(3))
@@ -199,3 +206,95 @@ def test_integer_weights_give_rational_exactness(seed):
     ref = brute_force_densest(G, w)
     assert res.value == pytest.approx(ref.value, abs=1e-12)
     assert res.subset == ref.subset
+
+
+def subset_densities(G, w):
+    """Density of every nonempty subset, by bitmask: (masks, densities)."""
+    masks = np.arange(1, 1 << G.n)
+    total = np.zeros(masks.size)
+    for idx, (u, v) in enumerate(G.edges):
+        total += w[idx] * (((masks >> u) & (masks >> v) & 1) == 1)
+    sizes = np.array([bin(int(mask)).count("1") for mask in masks])
+    return masks, total / sizes
+
+
+def tie_prone_instance(seed, n, integer_weights):
+    """Random graph on n vertices; integer weights in {1, 2} make tied
+    maximizers common, uniform ones make them rare."""
+    rng = np.random.default_rng(seed)
+    G = random_graph(rng, n, p=float(rng.uniform(0.15, 0.8)))
+    if integer_weights:
+        w = rng.integers(1, 3, size=G.m).astype(np.float64)
+    else:
+        w = rng.uniform(0.0, 10.0, size=G.m)
+    return rng, G, w
+
+
+def random_subset(rng, n):
+    size = int(rng.integers(1, n + 1))
+    return tuple(int(v) for v in rng.choice(n, size=size, replace=False))
+
+
+class TestWarmStart:
+    def test_optimal_start_takes_one_flow_call(self, karate):
+        w = knockout_weights(karate, seed=0)
+        cold = exact_densest(karate, w)
+        warm = exact_densest(karate, w, start=cold.subset)
+        assert warm.flow_calls == 1
+        assert cold.flow_calls >= 1
+        assert (warm.subset, warm.value) == (cold.subset, cold.value)
+
+    def test_bad_starts_rejected(self, lollipop):
+        with pytest.raises(ValueError):
+            exact_densest(lollipop, np.ones(4), start=())
+        with pytest.raises(ValueError):
+            exact_densest(lollipop, np.ones(4), start=(0, 4))
+
+    def test_degenerate_weights_ignore_the_start(self, lollipop):
+        res = exact_densest(lollipop, np.zeros(4), start=(2, 3))
+        assert res.degenerate and res.subset == (0,) and res.flow_calls == 0
+
+    def test_alternating_graphs_of_one_shape(self):
+        # same n and m, different edges, and an equal copy built anew: the
+        # cached flow gadget must follow the graph's value
+        G1 = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], 5)
+        G2 = Graph.from_edges([(0, 1), (3, 4), (2, 4), (2, 3)], 5)
+        w = np.array([1.0, 2.0, 3.0, 4.0])
+        for _ in range(2):
+            for G in (G1, G2, Graph.from_edges(G1.edges, 5)):
+                assert exact_densest(G, w).subset == brute_force_densest(G, w).subset
+                assert second_best_density(G, w, (0, 1)) == pytest.approx(
+                    max(d for m, d in zip(*subset_densities(G, w)) if m != 0b11), abs=1e-12
+                )
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=12),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_start_never_changes_the_answer(seed, n, integer_weights):
+    rng, G, w = tie_prone_instance(seed, n, integer_weights)
+    cold = exact_densest(G, w)
+    for start in (random_subset(rng, n), tuple(range(n)), cold.subset):
+        warm = exact_densest(G, w, start=start)
+        assert warm.subset == cold.subset
+        assert warm.value == cold.value
+    assert cold.subset == brute_force_densest(G, w).subset
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=12),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_second_best_matches_brute_force(seed, n, integer_weights):
+    rng, G, w = tie_prone_instance(seed, n, integer_weights)
+    masks, dens = subset_densities(G, w)
+    # against the optimum, and against an arbitrary set
+    for best in (exact_densest(G, w).subset, random_subset(rng, n)):
+        best_mask = sum(1 << v for v in best)
+        ref = float(dens[masks != best_mask].max())
+        assert second_best_density(G, w, best) == pytest.approx(ref, abs=1e-9)
