@@ -5,97 +5,36 @@ Library layout: ``graph`` (containers and density primitives), ``solvers``
 ``dslin`` (fixed-confidence subset-query bandit), ``dssr`` (fixed-budget
 successive rejects), ``baselines`` (naive and interval samplers),
 ``experiments`` (benchmark harness) and ``cli`` (bench-cli entry point).
+The package root re-exports the entry points; everything else is imported
+from its module.
 """
 
 from .baselines import run_naive, run_r_oracle
-from .dslin import (
-    ArmFamily,
-    DesignState,
-    DsLinParams,
-    check_stop,
-    confidence_radius,
-    estimate,
-    generate_arm_family,
-    make_arm_family,
-    qp_upper_bound,
-    run_dslin,
-    select_arm,
-    update,
-)
-from .dssr import BudgetSchedule, PeelingState, build_schedule, run_dssr, sample_phase_vertex
-from .experiments import (
-    ExperimentConfig,
-    RunRecord,
-    default_budget,
-    knockout_weights,
-    run_experiment,
-)
-from .graph import (
-    Graph,
-    as_weight_vector,
-    degree_in,
-    density,
-    induced_edges,
-    load_edge_list,
-    load_weights,
-    max_degree,
-    save_weights,
-)
-from .oracle import NoiseModel, SamplingOracle, make_oracle, sample_edges, sample_vertex_star
-from .solvers import (
-    DensestResult,
-    brute_force_densest,
-    exact_densest,
-    greedy_peeling,
-    peeling_trace,
-    second_best_density,
-)
+from .dslin import DsLinParams, generate_arm_family, run_dslin
+from .dssr import run_dssr
+from .experiments import ExperimentConfig, run_experiment
+from .graph import Graph, load_edge_list, load_weights
+from .oracle import NoiseModel, make_oracle
+from .solvers import brute_force_densest, exact_densest, greedy_peeling, second_best_density
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmFamily",
-    "BudgetSchedule",
-    "DensestResult",
-    "DesignState",
     "DsLinParams",
     "ExperimentConfig",
     "Graph",
     "NoiseModel",
-    "PeelingState",
-    "RunRecord",
-    "SamplingOracle",
-    "as_weight_vector",
     "brute_force_densest",
-    "build_schedule",
-    "check_stop",
-    "confidence_radius",
-    "default_budget",
-    "degree_in",
-    "density",
-    "estimate",
     "exact_densest",
     "generate_arm_family",
     "greedy_peeling",
-    "induced_edges",
-    "knockout_weights",
     "load_edge_list",
     "load_weights",
-    "make_arm_family",
     "make_oracle",
-    "max_degree",
-    "peeling_trace",
-    "qp_upper_bound",
     "run_dslin",
     "run_dssr",
     "run_experiment",
     "run_naive",
     "run_r_oracle",
-    "sample_edges",
-    "sample_phase_vertex",
-    "sample_vertex_star",
-    "save_weights",
     "second_best_density",
-    "select_arm",
-    "update",
 ]

@@ -28,13 +28,13 @@ def run_naive(
     family: ArmFamily,
     oracle: SamplingOracle,
     T: int,
-    rng: np.random.Generator | None = None,
     detail: bool = False,
 ):
     """Uniform-arm baseline under a budget of T rounds.
 
-    Arms with no induced edges burn their round without an oracle call (the
-    oracle refuses empty subsets). Negative running averages are clipped to
+    Arms are drawn from a generator seeded with the oracle's seed. Arms with
+    no induced edges burn their round without an oracle call (the oracle
+    refuses empty subsets). Negative running averages are clipped to
     zero before the final exact solve, mirroring the estimator clipping of
     the fixed-confidence algorithm. With ``detail`` the per-edge averages
     and visit counts are returned alongside the chosen set.
@@ -43,8 +43,7 @@ def run_naive(
         raise ValueError("budget T must be at least 1")
     if not family.arms:
         raise ValueError("arm family is empty")
-    if rng is None:
-        rng = np.random.default_rng(oracle.seed)
+    rng = np.random.default_rng(oracle.seed)
     w_avg = np.zeros(G.m)
     visits = np.zeros(G.m, dtype=np.int64)
     for _ in range(T):

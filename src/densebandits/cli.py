@@ -1,30 +1,37 @@
 """Command-line front end for the benchmark harness.
 
-Subcommands: gen-weights, exact, brute, g-oracle, dslin, dssr, naive,
-r-oracle, report. Exit codes: 0 on success, 1 for configuration problems
-(bad flags, missing files), 2 for runtime failures.
+Subcommands: gen-weights, report, and one per entry of
+``experiments.ALGORITHMS`` (exact, brute, g-oracle, dslin, dssr, naive,
+r-oracle). An algorithm's subcommand takes the common flags plus one flag
+per config field it reads; a flag is named after its config-file key and
+typed by the field's annotation. Exit codes: 0 on success, 1 for
+configuration problems (bad flags, missing files), 2 for runtime failures
+(every seed failed), 3 when some seeds failed and others succeeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from .dslin import STOP_MODES
 from .experiments import (
+    ALGORITHMS,
+    FIELD_TYPES,
     ConfigError,
     ExperimentConfig,
     config_from_file,
+    config_key,
     generate_weight_file,
     parse_seeds,
     read_results,
     run_experiment,
-    write_results,
 )
-from .graph import load_edge_list, load_weights
-from .solvers import brute_force_densest, exact_densest, greedy_peeling
+from .oracle import NOISE_KINDS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,18 +41,41 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-_ALGO_COMMANDS = ("exact", "brute", "g-oracle", "dslin", "dssr", "naive", "r-oracle")
+# flags of every algorithm subcommand; --seed and --config are not config fields
+_COMMON = ("graph", "weights", "seed", "seeds", "out", "config", "noise", "R")
+_TYPES = {**FIELD_TYPES, "seed": int, "config": str}
+_CHOICES = {"noise": NOISE_KINDS, "stop_mode": STOP_MODES}
+_HELP = {
+    "graph": "edge-list file",
+    "weights": "weight file covering every edge",
+    "seed": "single seed",
+    "seeds": "seed list: '7', '1,2,5' or range '0:100'",
+    "out": "output directory for CSVs",
+    "config": "key=value config file (flags override it)",
+    "noise": "oracle noise kind",
+    "R": "noise scale",
+    "budget": "total query budget T",
+    "max_iters": "total round cap (includes the m init rounds)",
+    "epsilon": "PAC slack (dslin) or interval accuracy (r-oracle)",
+    "delta": "PAC failure rate",
+    "lam": "ridge parameter",
+    "L": "weight-norm bound",
+    "stop_mode": "stopping test",
+    "k": "minimum arm size (> 2)",
+    "family_seed": "arm-family seed",
+    "gamma": "interval failure rate",
+}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--graph", help="edge-list file")
-    sub.add_argument("--weights", help="weight file covering every edge")
-    sub.add_argument("--seed", type=int, help="single seed")
-    sub.add_argument("--seeds", help="seed list: '7', '1,2,5' or range '0:100'")
-    sub.add_argument("--out", help="output directory for CSVs")
-    sub.add_argument("--config", help="key=value config file (flags override it)")
-    sub.add_argument("--noise", choices=("gaussian-per-edge", "none"), help="oracle noise kind")
-    sub.add_argument("--R", type=float, dest="R", help="noise scale")
+def _add_flag(sub: argparse.ArgumentParser, name: str) -> None:
+    kind = _TYPES[name]
+    sub.add_argument(
+        f"--{config_key(name)}",
+        dest=name,
+        type=kind if kind in (int, float) else None,
+        choices=_CHOICES.get(name),
+        help=_HELP[name],
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,24 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     gw.add_argument("--seed", type=int, default=0)
     gw.add_argument("--out", required=True, help="weight file to write")
 
-    for name in _ALGO_COMMANDS:
+    for name, algo in ALGORITHMS.items():
         sub = subs.add_parser(name, help=f"run {name}")
-        _add_common(sub)
-        if name in ("dssr", "naive"):
-            sub.add_argument("--budget", type=int, help="total query budget T")
-        if name == "dslin":
-            sub.add_argument("--max-iters", type=int, dest="max_iters", help="total round cap (includes the m init rounds)")
-            sub.add_argument("--epsilon", type=float, help="PAC slack")
-            sub.add_argument("--delta", type=float, help="PAC failure rate")
-            sub.add_argument("--lambda", type=float, dest="lam", help="ridge parameter")
-            sub.add_argument("--L", type=float, dest="L", help="weight-norm bound")
-            sub.add_argument("--stop-mode", choices=("conservative", "exact-second-best"), dest="stop_mode")
-        if name in ("dslin", "naive"):
-            sub.add_argument("--k", type=int, help="minimum arm size (> 2)")
-            sub.add_argument("--family-seed", type=int, dest="family_seed", help="arm-family seed")
-        if name == "r-oracle":
-            sub.add_argument("--gamma", type=float, help="interval failure rate")
-            sub.add_argument("--epsilon", type=float, help="interval accuracy")
+        for flag in _COMMON + algo.fields:
+            _add_flag(sub, flag)
 
     rep = subs.add_parser("report", help="aggregate results CSVs")
     rep.add_argument("paths", nargs="+", help="results.csv files")
@@ -82,61 +98,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(args: argparse.Namespace, algorithm: str) -> ExperimentConfig:
-    values: dict[str, object] = {}
-    if getattr(args, "config", None):
-        base = config_from_file(args.config)
-        values = {
-            f: getattr(base, f)
-            for f in (
-                "algorithm graph weights seeds out budget max_iters k epsilon "
-                "delta lam R L stop_mode gamma noise family_seed".split()
-            )
-        }
-    values["algorithm"] = algorithm
-    for field in (
-        "graph weights out budget max_iters k epsilon delta lam R L "
-        "stop_mode gamma noise family_seed".split()
-    ):
-        v = getattr(args, field, None)
-        if v is not None:
-            values[field] = v
-    if getattr(args, "seeds", None) is not None:
-        values["seeds"] = parse_seeds(args.seeds)
-    elif getattr(args, "seed", None) is not None:
-        values["seeds"] = (args.seed,)
-    if "graph" not in values or values.get("graph") is None:
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in fields(ExperimentConfig)
+        if f.name not in ("algorithm", "seeds") and getattr(args, f.name, None) is not None
+    }
+    if args.seeds is not None:
+        flags["seeds"] = parse_seeds(args.seeds)
+    elif args.seed is not None:
+        flags["seeds"] = (args.seed,)
+    if args.config:
+        return replace(config_from_file(args.config), algorithm=args.command, **flags)
+    if "graph" not in flags:
         raise ConfigError("--graph is required")
-    return ExperimentConfig(**values)  # type: ignore[arg-type]
+    return ExperimentConfig(algorithm=args.command, **flags)
 
 
-def _print_solution(algorithm: str, graph_path: str, weights_path: str) -> None:
-    G = load_edge_list(graph_path)
-    w = load_weights(weights_path, G)
-    if algorithm == "exact":
-        res = exact_densest(G, w)
-        subset, value = res.subset, res.value
-    elif algorithm == "brute":
-        res = brute_force_densest(G, w)
-        subset, value = res.subset, res.value
-    else:
-        subset, value = greedy_peeling(G, w)
-    labels = " ".join(G.labels[v] for v in subset)
-    print(f"subset ({len(subset)} vertices): {labels}")
-    print(f"density: {value!r}")
-
-
-def _run_algorithm(args: argparse.Namespace, algorithm: str) -> int:
-    config = _build_config(args, algorithm)
-    records = run_experiment(config)
+def _run_algorithm(args: argparse.Namespace) -> int:
+    config = _build_config(args)
+    records, errors = run_experiment(config)
+    for error in errors:
+        print(f"runtime failure: {error}", file=sys.stderr)
+    log_hint = f" (see {Path(config.out) / 'errors.log'})" if config.out and errors else ""
     if not records:
-        print("runtime failure: every seed failed (see errors.log)", file=sys.stderr)
+        print(f"runtime failure: every seed failed{log_hint}", file=sys.stderr)
         return 2
-    if algorithm in ("exact", "brute", "g-oracle"):
-        _print_solution(algorithm, config.graph, config.weights)
+    if not ALGORITHMS[config.algorithm].oracle:
+        # an offline solver's answer does not depend on the seed
+        first = records[0]
+        print(f"subset ({first.out_size} vertices): {' '.join(first.subset_labels)}")
+        print(f"density: {first.quality!r}")
     qualities = np.array([r.quality for r in records])
     print(
-        f"algo={algorithm} graph={records[0].graph} seeds={len(records)} "
+        f"algo={config.algorithm} graph={records[0].graph} seeds={len(records)} "
         f"mean_quality={qualities.mean():.4f} std={qualities.std():.4f} "
         f"opt={records[0].opt:.4f} "
         f"mean_queries={np.mean([r.total_queries for r in records]):.1f} "
@@ -144,6 +139,9 @@ def _run_algorithm(args: argparse.Namespace, algorithm: str) -> int:
     )
     if config.out:
         print(f"results written to {Path(config.out) / 'results.csv'}")
+    if errors:
+        print(f"runtime failure: {len(errors)} of {len(config.seeds)} seeds failed{log_hint}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -185,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "report":
             return _report(args)
-        return _run_algorithm(args, args.command)
+        return _run_algorithm(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

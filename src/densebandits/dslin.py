@@ -81,12 +81,10 @@ class DesignState:
     """Mutable ridge-regression state shared by one run."""
 
     G: Graph
-    family: ArmFamily
     params: DsLinParams
     L: float
     Rprime: float
     t: int
-    A: np.ndarray
     A_inv: np.ndarray
     logdetA: float
     b: np.ndarray
@@ -113,17 +111,18 @@ def _indicator(m: int, edge_idxs) -> np.ndarray:
     return chi
 
 
-def _spanning_rank(vectors: list[np.ndarray]) -> int:
-    """Rank of a stack of vectors via incremental Gram-Schmidt (1e-8 cut)."""
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        r = v.astype(np.float64).copy()
-        for q in basis:
-            r -= (q @ r) * q
-        nrm = float(np.linalg.norm(r))
-        if nrm > _RANK_TOL:
-            basis.append(r / nrm)
-    return len(basis)
+def _extend_basis(basis: list[np.ndarray], v: np.ndarray) -> bool:
+    """One incremental Gram-Schmidt step: append v's normalized residual
+    against the orthonormal ``basis`` if its norm exceeds the 1e-8 rank
+    cut, and say whether it did."""
+    r = v.copy()
+    for q in basis:
+        r -= (q @ r) * q
+    nrm = float(np.linalg.norm(r))
+    if nrm <= _RANK_TOL:
+        return False
+    basis.append(r / nrm)
+    return True
 
 
 def make_arm_family(G: Graph, arms, p=None, k: int = 3) -> ArmFamily:
@@ -150,8 +149,10 @@ def make_arm_family(G: Graph, arms, p=None, k: int = 3) -> ArmFamily:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (len(norm_arms),) or np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
         raise ValueError("allocation p must be a probability vector over the arms")
-    indicators = [_indicator(G.m, es) for es in edge_sets]
-    if _spanning_rank(indicators) != G.m:
+    basis: list[np.ndarray] = []
+    for es in edge_sets:
+        _extend_basis(basis, _indicator(G.m, es))
+    if len(basis) != G.m:
         raise ValueError("arm indicators do not span all edge coordinates")
     return ArmFamily(arms=norm_arms, edge_sets=tuple(edge_sets), p=p, k=k)
 
@@ -176,13 +177,8 @@ def generate_arm_family(G: Graph, k: int, seed: int, max_attempts: int | None = 
         es = induced_edges(G, members)
         if not es:
             continue
-        r = _indicator(G.m, es)
-        for q in basis:
-            r -= (q @ r) * q
-        nrm = float(np.linalg.norm(r))
-        if nrm <= _RANK_TOL:
+        if not _extend_basis(basis, _indicator(G.m, es)):
             continue
-        basis.append(r / nrm)
         arms.append(members)
         edge_sets.append(tuple(es))
     if len(arms) != G.m:
@@ -205,12 +201,10 @@ def init_state(G: Graph, family: ArmFamily, params: DsLinParams) -> DesignState:
     chi = np.stack([_indicator(m, es) for es in family.edge_sets])
     return DesignState(
         G=G,
-        family=family,
         params=params,
         L=float(L),
         Rprime=math.sqrt(max_degree(G)) * params.R,
         t=0,
-        A=params.lam * np.eye(m),
         A_inv=np.eye(m) / params.lam,
         logdetA=m * math.log(params.lam),
         b=np.zeros(m),
@@ -229,13 +223,19 @@ def select_arm(state: DesignState, family: ArmFamily) -> int:
     return int(support[np.argmin(ratios)])
 
 
+def design_matrix(state: DesignState) -> np.ndarray:
+    """The design matrix A = lambda I + chi^T diag(counts) chi, rebuilt
+    from the pull counts; exact whenever lambda is an integer."""
+    return state.params.lam * np.eye(state.G.m) + (state.chi.T * state.counts) @ state.chi
+
+
 def update(state: DesignState, arm: int, reward: float) -> None:
     """Rank-1 update after observing ``reward`` on ``arm``.
 
     The log-determinant is advanced before the inverse (the determinant
     lemma needs the old inverse); the inverse then gets the Sherman-Morrison
-    correction. Every 256 rounds both are re-derived densely as a drift
-    check.
+    correction. Every 256 rounds both are re-derived densely from the
+    rebuilt design matrix as a drift check.
     """
     if not np.isfinite(reward):
         raise ValueError(f"non-finite reward {reward!r}")
@@ -243,17 +243,17 @@ def update(state: DesignState, arm: int, reward: float) -> None:
     u = state.A_inv @ chi
     s = float(chi @ u)
     state.logdetA += math.log1p(s)
-    state.A += np.outer(chi, chi)
     state.A_inv -= np.outer(u, u) / (1.0 + s)
     state.b += chi * reward
     state.counts[arm] += 1
     state.t += 1
     if state.t % _REFRESH_EVERY == 0:
-        fresh = np.linalg.inv(state.A)
-        if not np.allclose(state.A_inv @ state.A, np.eye(state.G.m), atol=1e-8):
+        A = design_matrix(state)
+        fresh = np.linalg.inv(A)
+        if not np.allclose(state.A_inv @ A, np.eye(state.G.m), atol=1e-8):
             raise RuntimeError("incremental inverse drifted beyond 1e-8")
         state.A_inv = fresh
-        sign, logdet = np.linalg.slogdet(state.A)
+        sign, logdet = np.linalg.slogdet(A)
         if sign <= 0 or abs(logdet - state.logdetA) > 1e-6:
             raise RuntimeError("incremental log-determinant drifted beyond 1e-6")
         state.logdetA = logdet
@@ -309,7 +309,6 @@ def qp_upper_bound(A_inv: np.ndarray, exact_limit: int = _EXACT_QP_LIMIT) -> tup
 
 def check_stop(
     state: DesignState,
-    family: ArmFamily,
     Shat,
     widthHat: float,
     U: float,
@@ -384,7 +383,7 @@ def run_dslin(
         second = None
         if stop_mode == "exact-second-best" and G.n >= 2:
             second = second_best_density(G, what, incumbent)
-        if check_stop(state, family, incumbent, width, U, second):
+        if check_stop(state, incumbent, width, U, second):
             diag.stopped = True
             break
         arm = select_arm(state, family)

@@ -1,29 +1,37 @@
 """Experiment harness: knockout weights, seeded batch runs, CSV reporting.
 
 A batch is described by an ``ExperimentConfig`` (also readable from a flat
-key=value file). Each seed gets its own oracle; the arm family, when one is
-needed, is generated once per batch from ``family_seed`` so every seed and
-every algorithm compares on identical arms. Results go to a flat CSV with
-one row per seed plus mean/std aggregate rows, and per-run query-size
-histograms and traces are written as separate CSVs.
+key=value file whose keys are the CLI flag names). ``ALGORITHMS`` declares
+each algorithm once: the config fields it reads beyond the common ones, the
+defaults it fills in for fields left None, whether it queries an oracle and
+draws arms from a family, and the function that runs one seed. The batch
+loop, the config file and the CLI are all derived from that table and from
+the dataclass fields.
+
+Each seed gets its own oracle; the arm family, when one is needed, is
+generated once per batch from ``family_seed`` so every seed and every
+algorithm compares on identical arms. Results go to a flat CSV with one row
+per seed plus mean/std aggregate rows, and per-run query-size histograms and
+traces are written as separate CSVs. A seed that raises is skipped and its
+error returned with the records (and written to ``errors.log``).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .baselines import run_naive, run_r_oracle
-from .dslin import DsLinParams, generate_arm_family, run_dslin
+from .dslin import STOP_MODES, DsLinParams, generate_arm_family, run_dslin
 from .dssr import run_dssr
 from .graph import Graph, density, induced_edges, load_edge_list, load_weights, save_weights
 from .oracle import NOISE_KINDS, NoiseModel, make_oracle
 from .solvers import brute_force_densest, exact_densest, greedy_peeling
-
-ALGORITHMS = ("dslin", "dssr", "naive", "r-oracle", "g-oracle", "exact", "brute")
 
 RESULTS_HEADER = (
     "algo,graph,seed,budget,quality,opt,out_size,total_queries,single_edge_queries,elapsed_ms"
@@ -39,9 +47,9 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """One batch: an algorithm, a weighted graph, seeds, and hyperparameters.
 
-    Optional numeric fields left as None are resolved per algorithm at run
-    time (budget, iteration cap, epsilon defaults differ between the
-    fixed-confidence and interval baselines).
+    Optional numeric fields left as None are filled from the algorithm's
+    ``defaults`` at run time (budget, iteration cap, epsilon defaults differ
+    between the fixed-confidence and interval baselines).
     """
 
     algorithm: str
@@ -64,7 +72,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {tuple(ALGORITHMS)}")
         if not Path(self.graph).is_file():
             raise ConfigError(f"graph file not found: {self.graph}")
         if self.weights is None:
@@ -89,7 +97,7 @@ class ExperimentConfig:
             raise ConfigError("R must be nonnegative")
         if self.noise == "gaussian-per-edge" and self.R == 0:
             raise ConfigError("gaussian noise needs R > 0 (use noise=none for exact sums)")
-        if self.stop_mode not in ("conservative", "exact-second-best"):
+        if self.stop_mode not in STOP_MODES:
             raise ConfigError(f"unknown stop-mode {self.stop_mode!r}")
         if not (0 < self.gamma < 1):
             raise ConfigError("gamma must lie in (0, 1)")
@@ -97,28 +105,23 @@ class ExperimentConfig:
             raise ConfigError(f"unknown noise kind {self.noise!r}; choose from {NOISE_KINDS}")
 
 
-_FILE_KEYS = {
-    "algorithm": "algorithm",
-    "graph": "graph",
-    "weights": "weights",
-    "seeds": "seeds",
-    "out": "out",
-    "budget": "budget",
-    "max-iters": "max_iters",
-    "k": "k",
-    "epsilon": "epsilon",
-    "delta": "delta",
-    "lambda": "lam",
-    "R": "R",
-    "L": "L",
-    "stop-mode": "stop_mode",
-    "gamma": "gamma",
-    "noise": "noise",
-    "family-seed": "family_seed",
+def config_key(name: str) -> str:
+    """Config-file key and CLI flag (without dashes) of a config field."""
+    return "lambda" if name == "lam" else name.replace("_", "-")
+
+
+def _value_type(hint) -> type:
+    """The type an annotation allows besides None: ``int | None`` -> int."""
+    if isinstance(hint, UnionType):
+        return next(t for t in get_args(hint) if t is not type(None))
+    return get_origin(hint) or hint
+
+
+# the value type of each config field, from its annotation
+FIELD_TYPES = {
+    name: _value_type(hint) for name, hint in get_type_hints(ExperimentConfig).items()
 }
-_FIELD_TO_KEY = {v: k for k, v in _FILE_KEYS.items()}
-_INT_FIELDS = {"budget", "max_iters", "k", "family_seed"}
-_FLOAT_FIELDS = {"epsilon", "delta", "lam", "R", "L", "gamma"}
+_KEY_TO_FIELD = {config_key(f.name): f.name for f in fields(ExperimentConfig)}
 
 
 def parse_seeds(text: str) -> tuple[int, ...]:
@@ -144,17 +147,10 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _FILE_KEYS:
+            if key not in _KEY_TO_FIELD:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            fieldname = _FILE_KEYS[key]
-            if fieldname == "seeds":
-                values[fieldname] = parse_seeds(val)
-            elif fieldname in _INT_FIELDS:
-                values[fieldname] = int(val)
-            elif fieldname in _FLOAT_FIELDS:
-                values[fieldname] = float(val)
-            else:
-                values[fieldname] = val
+            name = _KEY_TO_FIELD[key]
+            values[name] = parse_seeds(val) if name == "seeds" else FIELD_TYPES[name](val)
     if "algorithm" not in values or "graph" not in values:
         raise ConfigError(f"{path}: config must set at least algorithm and graph")
     return ExperimentConfig(**values)  # type: ignore[arg-type]
@@ -168,7 +164,7 @@ def config_to_file(config: ExperimentConfig, path: str | Path) -> None:
             continue
         if f.name == "seeds":
             val = ",".join(str(s) for s in val)
-        lines.append(f"{_FIELD_TO_KEY[f.name]}={val}")
+        lines.append(f"{config_key(f.name)}={val}")
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
@@ -187,6 +183,7 @@ class RunRecord:
     single_edge_queries: int
     elapsed_ms: float
     histogram_path: str | None = None
+    subset_labels: tuple[str, ...] = ()  # the chosen set, not written to the CSV
 
     def csv_row(self) -> str:
         return ",".join(
@@ -212,11 +209,11 @@ def _atomic_write(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
-def write_results(path: str | Path, records: list[RunRecord], aggregate: bool = True) -> None:
+def write_results(path: str | Path, records: list[RunRecord]) -> None:
     """Emit the results CSV: one row per record plus mean/std rows."""
     lines = [RESULTS_HEADER]
     lines.extend(r.csv_row() for r in records)
-    if aggregate and records:
+    if records:
         numeric = np.array(
             [
                 [
@@ -310,48 +307,127 @@ def default_budget(n: int) -> int:
     return 10**p
 
 
-def _resolved(config: ExperimentConfig, G: Graph) -> ExperimentConfig:
-    """Fill algorithm-specific defaults left unset."""
-    algo = config.algorithm
-    updates: dict[str, object] = {}
-    if config.epsilon is None:
-        updates["epsilon"] = 0.9 if algo == "r-oracle" else 0.1
-    if config.budget is None:
-        if algo == "dssr":
-            updates["budget"] = default_budget(G.n)
-        elif algo == "naive":
-            updates["budget"] = G.m + 10000
-    if config.max_iters is None and algo == "dslin":
-        updates["max_iters"] = G.m + 10000
-    return replace(config, **updates) if updates else config
+@dataclass(frozen=True)
+class Algorithm:
+    """How a batch runs one algorithm.
+
+    ``fields`` are the config fields it reads beyond the common ones
+    (graph, weights, seeds, out, noise, R); ``defaults`` computes, from the
+    graph, the value of such a field left None. ``run(config, G, w, family,
+    oracle)`` runs one seed and returns the chosen set, the budget column
+    and the trace CSV lines (None when the algorithm writes no trace);
+    ``oracle`` and ``family`` say whether it gets a seeded oracle and the
+    batch's arm family, or None.
+    """
+
+    run: Callable[..., tuple[tuple[int, ...], int, list[str] | None]]
+    fields: tuple[str, ...] = ()
+    defaults: dict[str, Callable[[Graph], object]] = field(default_factory=dict)
+    oracle: bool = False
+    family: bool = False
 
 
-def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
-    """Execute one batch; returns per-seed records (failures are logged to
-    errors.log under the output directory and skipped)."""
+def _run_dslin(config, G, w, family, oracle):
+    params = DsLinParams(
+        epsilon=float(config.epsilon), delta=config.delta, lam=config.lam, R=config.R, L=config.L
+    )
+    budget = int(config.max_iters)
+    subset, diag = run_dslin(G, family, oracle, params, budget, stop_mode=config.stop_mode, w_true=w)
+    rows = ["iteration,incumbent_density,c_t,est_err"]
+    for i, (f, c) in enumerate(zip(diag.incumbent_density_trace, diag.ct_trace)):
+        err = repr(float(diag.est_err_trace[i])) if diag.est_err_trace else ""
+        rows.append(f"{G.m + i},{float(f)!r},{float(c)!r},{err}")
+    return subset, budget, rows
+
+
+def _run_dssr(config, G, w, family, oracle):
+    budget = int(config.budget)
+    subset, diag = run_dssr(G, oracle, budget)
+    rows = ["phase,survivors,f_hat,cum_queries,cum_single_edge"]
+    rows.extend(f"{p},{s},{float(f)!r},{q},{sq}" for p, s, f, q, sq in diag.phase_rows)
+    return subset, budget, rows
+
+
+def _run_naive(config, G, w, family, oracle):
+    budget = int(config.budget)
+    return run_naive(G, family, oracle, budget), budget, None
+
+
+def _run_r_oracle(config, G, w, family, oracle):
+    subset = run_r_oracle(G, w, oracle, gamma=config.gamma, eps=float(config.epsilon))
+    return subset, oracle.total_queries, None
+
+
+ALGORITHMS: dict[str, Algorithm] = {
+    # offline solvers see the true weights and make no queries
+    "exact": Algorithm(lambda config, G, w, *_: (exact_densest(G, w).subset, 0, None)),
+    "brute": Algorithm(lambda config, G, w, *_: (brute_force_densest(G, w).subset, 0, None)),
+    "g-oracle": Algorithm(lambda config, G, w, *_: (greedy_peeling(G, w)[0], 0, None)),
+    "dslin": Algorithm(
+        _run_dslin,
+        ("max_iters", "epsilon", "delta", "lam", "L", "stop_mode", "k", "family_seed"),
+        {"max_iters": lambda G: G.m + 10000, "epsilon": lambda G: 0.1},
+        oracle=True,
+        family=True,
+    ),
+    "dssr": Algorithm(_run_dssr, ("budget",), {"budget": lambda G: default_budget(G.n)}, oracle=True),
+    "naive": Algorithm(
+        _run_naive,
+        ("budget", "k", "family_seed"),
+        {"budget": lambda G: G.m + 10000},
+        oracle=True,
+        family=True,
+    ),
+    "r-oracle": Algorithm(_run_r_oracle, ("gamma", "epsilon"), {"epsilon": lambda G: 0.9}, oracle=True),
+}
+
+
+def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[str]]:
+    """Execute one batch; returns the per-seed records and one error line
+    per seed that raised. Failed seeds are skipped, and their errors are
+    also written to errors.log under the output directory, if any."""
     config.validate()
+    algo = ALGORITHMS[config.algorithm]
     G = load_edge_list(config.graph)
     w = load_weights(config.weights, G)
-    config = _resolved(config, G)
+    unset = {name: fill(G) for name, fill in algo.defaults.items() if getattr(config, name) is None}
+    config = replace(config, **unset)
     graph_name = Path(config.graph).stem
     opt = exact_densest(G, w).value
     out_dir = Path(config.out) if config.out else None
-
-    family = None
-    if config.algorithm in ("dslin", "naive"):
-        family = generate_arm_family(G, config.k, config.family_seed)
+    noise = NoiseModel(kind=config.noise, R=config.R) if config.noise != "none" else NoiseModel("none")
+    family = generate_arm_family(G, config.k, config.family_seed) if algo.family else None
 
     records: list[RunRecord] = []
     errors: list[str] = []
     for seed in config.seeds:
         t0 = time.perf_counter()
+        prefix = f"{out_dir / config.algorithm}_{graph_name}_seed{seed}" if out_dir else None
         try:
-            record = _run_one(config, G, w, family, graph_name, opt, seed)
+            oracle = make_oracle(G, w, noise, seed) if algo.oracle else None
+            subset, budget, trace = algo.run(config, G, w, family, oracle)
+            if prefix and trace is not None:
+                _atomic_write(Path(f"{prefix}_trace.csv"), "\n".join(trace) + "\n")
+            hist_path = f"{prefix}_hist.csv" if prefix and oracle else None
+            if hist_path:
+                write_histogram(hist_path, oracle.histogram)
+            record = RunRecord(
+                algo=config.algorithm,
+                graph=graph_name,
+                seed=seed,
+                budget=budget,
+                quality=density(G, w, subset),
+                opt=opt,
+                out_size=len(subset),
+                total_queries=oracle.total_queries if oracle else 0,
+                single_edge_queries=oracle.single_edge_queries if oracle else 0,
+                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+                histogram_path=hist_path,
+                subset_labels=tuple(G.labels[v] for v in subset),
+            )
         except Exception as exc:  # noqa: BLE001 - batch keeps going per seed
             errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
             continue
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        record = replace(record, elapsed_ms=elapsed_ms)
         if record.quality > record.opt + 1e-9:
             raise RuntimeError(
                 f"seed {seed}: quality {record.quality} exceeds OPT {record.opt}"
@@ -362,98 +438,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
         write_results(out_dir / "results.csv", records)
         if errors:
             _atomic_write(out_dir / "errors.log", "\n".join(errors) + "\n")
-    return records
-
-
-def _run_one(
-    config: ExperimentConfig,
-    G: Graph,
-    w: np.ndarray,
-    family,
-    graph_name: str,
-    opt: float,
-    seed: int,
-) -> RunRecord:
-    algo = config.algorithm
-    out_dir = Path(config.out) if config.out else None
-    noise = NoiseModel(kind=config.noise, R=config.R) if config.noise != "none" else NoiseModel("none")
-    hist: dict[int, int] | None = None
-    total = single = 0
-    budget = 0
-
-    if algo == "exact":
-        subset = exact_densest(G, w).subset
-    elif algo == "brute":
-        subset = brute_force_densest(G, w).subset
-    elif algo == "g-oracle":
-        subset, _ = greedy_peeling(G, w)
-    elif algo == "dssr":
-        oracle = make_oracle(G, w, noise, seed)
-        budget = int(config.budget)
-        subset, diag = run_dssr(G, oracle, budget)
-        hist = dict(oracle.histogram)
-        total, single = oracle.total_queries, oracle.single_edge_queries
-        if out_dir is not None:
-            rows = ["phase,survivors,f_hat,cum_queries,cum_single_edge"]
-            rows.extend(
-                f"{p},{s},{float(f)!r},{q},{sq}" for p, s, f, q, sq in diag.phase_rows
-            )
-            _atomic_write(out_dir / f"{algo}_{graph_name}_seed{seed}_trace.csv", "\n".join(rows) + "\n")
-    elif algo == "naive":
-        oracle = make_oracle(G, w, noise, seed)
-        budget = int(config.budget)
-        subset = run_naive(G, family, oracle, budget)
-        hist = dict(oracle.histogram)
-        total, single = oracle.total_queries, oracle.single_edge_queries
-    elif algo == "dslin":
-        oracle = make_oracle(G, w, noise, seed)
-        budget = int(config.max_iters)
-        params = DsLinParams(
-            epsilon=float(config.epsilon),
-            delta=config.delta,
-            lam=config.lam,
-            R=config.R,
-            L=config.L,
-        )
-        subset, diag = run_dslin(
-            G, family, oracle, params, budget, stop_mode=config.stop_mode, w_true=w
-        )
-        hist = dict(oracle.histogram)
-        total, single = oracle.total_queries, oracle.single_edge_queries
-        if out_dir is not None:
-            rows = ["iteration,incumbent_density,c_t,est_err"]
-            base_t = G.m
-            for i, (f, c) in enumerate(zip(diag.incumbent_density_trace, diag.ct_trace)):
-                err = repr(float(diag.est_err_trace[i])) if diag.est_err_trace else ""
-                rows.append(f"{base_t + i},{float(f)!r},{float(c)!r},{err}")
-            _atomic_write(out_dir / f"{algo}_{graph_name}_seed{seed}_trace.csv", "\n".join(rows) + "\n")
-    elif algo == "r-oracle":
-        oracle = make_oracle(G, w, noise, seed)
-        subset = run_r_oracle(G, w, oracle, gamma=config.gamma, eps=float(config.epsilon))
-        hist = dict(oracle.histogram)
-        total, single = oracle.total_queries, oracle.single_edge_queries
-        budget = total
-    else:  # pragma: no cover - validate() already rejects
-        raise ConfigError(f"unknown algorithm {algo!r}")
-
-    hist_path = None
-    if hist is not None and out_dir is not None:
-        hist_path = str(out_dir / f"{algo}_{graph_name}_seed{seed}_hist.csv")
-        write_histogram(hist_path, hist)
-
-    return RunRecord(
-        algo=algo,
-        graph=graph_name,
-        seed=seed,
-        budget=budget,
-        quality=density(G, w, subset),
-        opt=opt,
-        out_size=len(subset),
-        total_queries=total,
-        single_edge_queries=single,
-        elapsed_ms=0.0,
-        histogram_path=hist_path,
-    )
+    return records, errors
 
 
 def generate_weight_file(graph_path: str | Path, seed: int, out_path: str | Path) -> np.ndarray:

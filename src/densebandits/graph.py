@@ -93,16 +93,6 @@ class Graph:
             duplicates_dropped=dups,
         )
 
-    def edge_index(self, u: int, v: int) -> int:
-        """Index of edge {u, v}; raises KeyError if absent."""
-        for w, idx in self.adjacency[u]:
-            if w == v:
-                return idx
-        raise KeyError(f"no edge between {u} and {v}")
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 def load_edge_list(path: str | Path) -> Graph:
     """Parse an edge-list file into a Graph.
@@ -231,20 +221,6 @@ def density(G: Graph, w, S: Iterable[int]) -> float:
     idxs = induced_edges(G, members)
     total = float(w[idxs].sum()) if idxs else 0.0
     return total / len(members)
-
-
-def degree_in(G: Graph, w, S: Iterable[int], v: int) -> float:
-    """Weighted degree of v restricted to the induced subgraph on S.
-
-    Requires v in S. Edge weights are accumulated in ascending edge-index
-    order so repeated calls produce bit-identical floats.
-    """
-    members = set(as_vertex_set(G, S))
-    if v not in members:
-        raise ValueError(f"vertex {v} not in S")
-    w = np.asarray(w, dtype=np.float64)
-    idxs = sorted(idx for u, idx in G.adjacency[v] if u in members)
-    return float(w[idxs].sum()) if idxs else 0.0
 
 
 def max_degree(G: Graph) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, as_weight_vector, star_edges
+from .graph import Graph, as_weight_vector
 
 NOISE_KINDS = ("gaussian-per-edge", "none")
 
@@ -77,13 +77,6 @@ class SamplingOracle:
         self.histogram[len(idxs)] = self.histogram.get(len(idxs), 0) + 1
         return obs
 
-    def sample_vertex_star(self, G: Graph, S, v: int) -> float:
-        """One noisy observation of the edges joining v to the rest of S."""
-        idxs = star_edges(G, S, v)
-        if not idxs:
-            raise ValueError(f"vertex {v} has no neighbors in S; handle the zero-degree case upstream")
-        return self.sample_edges(idxs)
-
 
 def make_oracle(G: Graph, w, noise: NoiseModel | str = "gaussian-per-edge", seed: int = 0) -> SamplingOracle:
     """Construct a seeded oracle over hidden true weights."""
@@ -91,11 +84,3 @@ def make_oracle(G: Graph, w, noise: NoiseModel | str = "gaussian-per-edge", seed
         noise = NoiseModel(kind=noise)
     w = as_weight_vector(G, w)
     return SamplingOracle(graph=G, _w=w.copy(), noise=noise, seed=int(seed) & _SEED_MASK)
-
-
-def sample_edges(oracle: SamplingOracle, F) -> float:
-    return oracle.sample_edges(F)
-
-
-def sample_vertex_star(oracle: SamplingOracle, G: Graph, S, v: int) -> float:
-    return oracle.sample_vertex_star(G, S, v)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from densebandits.dslin import (
-    ArmFamily,
     DesignState,
     DsLinParams,
+    design_matrix,
     generate_arm_family,
     qp_upper_bound,
     run_dslin,
@@ -258,20 +258,12 @@ def test_criterion_09_incremental_design_updates_track_dense():
         chi = (rng.random((n_arms, m)) < 0.4).astype(float)
         chi[chi.sum(axis=1) == 0, rng.integers(0, m)] = 1.0
         G = Graph.from_edges([(i, i + 1) for i in range(m)], m + 1)
-        family = ArmFamily(
-            arms=tuple((0,) for _ in range(n_arms)),
-            edge_sets=tuple((0,) for _ in range(n_arms)),
-            p=np.full(n_arms, 1.0 / n_arms),
-            k=3,
-        )
         state = DesignState(
             G=G,
-            family=family,
             params=DsLinParams(lam=lam),
             L=1.0,
             Rprime=1.0,
             t=0,
-            A=lam * np.eye(m),
             A_inv=np.eye(m) / lam,
             logdetA=m * math.log(lam),
             b=np.zeros(m),
@@ -280,10 +272,9 @@ def test_criterion_09_incremental_design_updates_track_dense():
         )
         for _ in range(int(rng.integers(5, 41))):
             update(state, int(rng.integers(n_arms)), float(rng.normal()))
-        max_inv_gap = max(
-            max_inv_gap, float(np.abs(state.A_inv - np.linalg.inv(state.A)).max())
-        )
-        sign, logdet = np.linalg.slogdet(state.A)
+        A = design_matrix(state)
+        max_inv_gap = max(max_inv_gap, float(np.abs(state.A_inv - np.linalg.inv(A)).max()))
+        sign, logdet = np.linalg.slogdet(A)
         assert sign > 0
         max_logdet_gap = max(max_logdet_gap, abs(state.logdetA - logdet))
     ok = max_inv_gap < 1e-8 and max_logdet_gap < 1e-6

@@ -11,6 +11,7 @@ from densebandits.dslin import (
     check_stop,
     confidence_radius,
     default_weight_norm_bound,
+    design_matrix,
     estimate,
     generate_arm_family,
     init_state,
@@ -107,7 +108,7 @@ class TestDesignUpdates:
     def test_scalar_ridge_estimate(self):
         G, family, state = scalar_state()
         update(state, 0, 3.0)
-        assert state.A[0, 0] == pytest.approx(2.0)
+        assert design_matrix(state)[0, 0] == pytest.approx(2.0)
         assert state.A_inv[0, 0] == pytest.approx(0.5)
         assert state.logdetA == pytest.approx(math.log(2.0))
         assert estimate(state)[0] == pytest.approx(1.5)
@@ -134,7 +135,7 @@ class TestDesignUpdates:
         dense = params.lam * np.eye(4) + sum(
             c * np.outer(state.chi[i], state.chi[i]) for i, c in enumerate(state.counts)
         )
-        assert np.allclose(state.A, dense, atol=1e-9)
+        assert np.allclose(design_matrix(state), dense, atol=1e-9)
         assert np.allclose(state.A_inv, np.linalg.inv(dense), atol=1e-8)
         sign, logdet = np.linalg.slogdet(dense)
         assert sign > 0
@@ -223,19 +224,19 @@ class TestStopRule:
         lhs = 0.75 - C * width / 2.0
         rhs = 0.75 + C * U / 2.0 - 0.1
         assert lhs < rhs
-        assert not check_stop(state, family, (0, 1), width, U)
+        assert not check_stop(state, (0, 1), width, U)
 
     def test_stop_fires_with_generous_epsilon(self):
         G, family, state = scalar_state()
         state.params = DsLinParams(epsilon=5.0, delta=0.1, lam=1.0, R=1.0, L=1.0)
         update(state, 0, 3.0)
-        assert check_stop(state, family, (0, 1), math.sqrt(0.5), math.sqrt(0.5))
+        assert check_stop(state, (0, 1), math.sqrt(0.5), math.sqrt(0.5))
 
     def test_explicit_rival_shifts_threshold(self):
         G, family, state = scalar_state()
         state.params = DsLinParams(epsilon=5.0, delta=0.1, lam=1.0, R=1.0, L=1.0)
         update(state, 0, 3.0)
-        assert not check_stop(state, family, (0, 1), math.sqrt(0.5), math.sqrt(0.5), secondBest=6.0)
+        assert not check_stop(state, (0, 1), math.sqrt(0.5), math.sqrt(0.5), secondBest=6.0)
 
 
 class TestRunDsLin:

@@ -1,11 +1,14 @@
+import argparse
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from densebandits.cli import main
+from densebandits.cli import build_parser, main
 from densebandits.experiments import (
+    ALGORITHMS,
     ConfigError,
     ExperimentConfig,
     RunRecord,
@@ -61,26 +64,33 @@ class TestParseSeeds:
 
 
 class TestConfigFile:
-    def test_round_trip(self, tmp_path, lollipop_files):
-        g, w = lollipop_files
+    def test_round_trip(self, tmp_path):
+        # every field away from its default, so each key is written and read
         cfg = ExperimentConfig(
-            algorithm="dssr",
-            graph=g,
-            weights=w,
+            algorithm="dslin",
+            graph="g.txt",
+            weights="w.txt",
             seeds=(0, 3, 9),
+            out="res",
             budget=77,
+            max_iters=300,
             k=4,
             epsilon=0.25,
             delta=0.05,
             lam=2.0,
             R=0.5,
+            L=7.5,
             stop_mode="exact-second-best",
             gamma=0.8,
             noise="none",
             family_seed=11,
         )
+        defaults = ExperimentConfig(algorithm="exact", graph="")
+        for f in dataclasses.fields(cfg):
+            assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
         path = tmp_path / "run.cfg"
         config_to_file(cfg, path)
+        assert "lambda=2.0" in path.read_text().splitlines()
         assert config_from_file(path) == cfg
 
     def test_unset_optionals_stay_none(self, tmp_path, lollipop_files):
@@ -226,8 +236,8 @@ class TestRunExperiment:
     def test_g_oracle_records_identical_across_seeds(self, lollipop_files):
         g, w = lollipop_files
         cfg = ExperimentConfig(algorithm="g-oracle", graph=g, weights=w, seeds=(0, 1, 2))
-        recs = run_experiment(cfg)
-        assert len(recs) == 3
+        recs, errors = run_experiment(cfg)
+        assert len(recs) == 3 and errors == []
         stripped = {dataclasses.replace(r, seed=0, elapsed_ms=0.0) for r in recs}
         assert len(stripped) == 1
         assert recs[0].total_queries == 0 and recs[0].budget == 0
@@ -239,7 +249,7 @@ class TestRunExperiment:
             algorithm="dssr", graph=g, weights=w, seeds=(0, 1), budget=60,
             noise="none", out=str(out),
         )
-        recs = run_experiment(cfg)
+        recs, _ = run_experiment(cfg)
         assert len(recs) == 2
         assert (out / "results.csv").is_file()
         for r in recs:
@@ -257,7 +267,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             algorithm="dssr", graph=g, weights=w, seeds=tuple(range(4)), budget=1000
         )
-        for r in run_experiment(cfg):
+        for r in run_experiment(cfg)[0]:
             assert r.quality <= r.opt + 1e-9
 
     def test_config_replay_reproduces_records(self, tmp_path, lollipop_files):
@@ -265,10 +275,10 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             algorithm="dssr", graph=g, weights=w, seeds=(0, 5), budget=80
         )
-        first = run_experiment(cfg)
+        first, _ = run_experiment(cfg)
         path = tmp_path / "replay.cfg"
         config_to_file(cfg, path)
-        second = run_experiment(config_from_file(path))
+        second, _ = run_experiment(config_from_file(path))
         norm = lambda rs: [dataclasses.replace(r, elapsed_ms=0.0) for r in rs]
         assert norm(first) == norm(second)
 
@@ -280,10 +290,10 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             algorithm="dssr", graph=g, weights=w, seeds=(0, 1, 2), budget=100, out=str(out)
         )
-        recs = run_experiment(cfg)
+        recs, errors = run_experiment(cfg)
         assert recs == []
         log = (out / "errors.log").read_text()
-        assert len(log.strip().splitlines()) == 3
+        assert log.strip().splitlines() == errors and len(errors) == 3
         assert "seed 0" in log and "ValueError" in log
 
     def test_r_oracle_budget_column_is_total_queries(self, lollipop_files):
@@ -291,7 +301,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             algorithm="r-oracle", graph=g, weights=w, seeds=(0,), noise="none"
         )
-        (rec,) = run_experiment(cfg)
+        (rec,), _ = run_experiment(cfg)
         assert rec.budget == rec.total_queries == rec.single_edge_queries == 44
         assert rec.quality == rec.opt
 
@@ -300,7 +310,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             algorithm="naive", graph=g, weights=w, seeds=(0,), k=3, noise="none"
         )
-        (rec,) = run_experiment(cfg)
+        (rec,), _ = run_experiment(cfg)
         assert rec.budget == 4 + 10000
 
 
@@ -408,4 +418,126 @@ class TestCli:
         code = main(["dssr", "--graph", g, "--weights", w, "--seed", "0",
                      "--budget", "100"])
         assert code == 2
-        assert "every seed failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "every seed failed" in err
+        assert "seed 0: ValueError" in err
+        assert "errors.log" not in err  # nothing is written without --out
+
+    def test_exit_code_3_on_partial_failure(self, tmp_path, lollipop_files, monkeypatch, capsys):
+        g, w = lollipop_files
+        dssr = ALGORITHMS["dssr"]
+
+        def fail_on_seed_1(config, G, w, family, oracle):
+            if oracle.seed == 1:
+                raise RuntimeError("planted failure")
+            return dssr.run(config, G, w, family, oracle)
+
+        monkeypatch.setitem(ALGORITHMS, "dssr", dataclasses.replace(dssr, run=fail_on_seed_1))
+        flags = ["dssr", "--graph", g, "--weights", w, "--seeds", "0:3", "--budget", "60",
+                 "--noise", "none"]
+        assert main(flags) == 3
+        captured = capsys.readouterr()
+        assert "seed 1: RuntimeError: planted failure" in captured.err
+        assert "seed 0" not in captured.err and "seed 2" not in captured.err
+        assert "errors.log" not in captured.err
+        assert "seeds=2" in captured.out
+        out = tmp_path / "res"
+        assert main(flags + ["--out", str(out)]) == 3
+        assert str(out / "errors.log") in capsys.readouterr().err
+        assert (out / "errors.log").read_text() == "seed 1: RuntimeError: planted failure\n"
+        recs, _ = read_results(out / "results.csv")
+        assert [r.seed for r in recs] == [0, 2]
+
+
+# bench-cli's flag surface, pinned: per subcommand, each flag's option
+# strings, dest, type and choices, in order
+_COMMON_FLAGS = [
+    (("--graph",), "graph", None, None),
+    (("--weights",), "weights", None, None),
+    (("--seed",), "seed", "int", None),
+    (("--seeds",), "seeds", None, None),
+    (("--out",), "out", None, None),
+    (("--config",), "config", None, None),
+    (("--noise",), "noise", None, ("gaussian-per-edge", "none")),
+    (("--R",), "R", "float", None),
+]
+FLAG_SURFACE = {
+    "gen-weights": [
+        (("--graph",), "graph", None, None),
+        (("--seed",), "seed", "int", None),
+        (("--out",), "out", None, None),
+    ],
+    "exact": _COMMON_FLAGS,
+    "brute": _COMMON_FLAGS,
+    "g-oracle": _COMMON_FLAGS,
+    "dslin": _COMMON_FLAGS + [
+        (("--max-iters",), "max_iters", "int", None),
+        (("--epsilon",), "epsilon", "float", None),
+        (("--delta",), "delta", "float", None),
+        (("--lambda",), "lam", "float", None),
+        (("--L",), "L", "float", None),
+        (("--stop-mode",), "stop_mode", None, ("conservative", "exact-second-best")),
+        (("--k",), "k", "int", None),
+        (("--family-seed",), "family_seed", "int", None),
+    ],
+    "dssr": _COMMON_FLAGS + [(("--budget",), "budget", "int", None)],
+    "naive": _COMMON_FLAGS + [
+        (("--budget",), "budget", "int", None),
+        (("--k",), "k", "int", None),
+        (("--family-seed",), "family_seed", "int", None),
+    ],
+    "r-oracle": _COMMON_FLAGS + [
+        (("--gamma",), "gamma", "float", None),
+        (("--epsilon",), "epsilon", "float", None),
+    ],
+    "report": [((), "paths", None, None), (("--out",), "out", None, None)],
+}
+
+
+def test_flag_surface_is_pinned():
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: [
+            (
+                tuple(a.option_strings),
+                a.dest,
+                a.type.__name__ if a.type else None,
+                tuple(a.choices) if a.choices else None,
+            )
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, sub in subs.choices.items()
+    }
+    assert surface == FLAG_SURFACE
+
+
+# SHA-256 over each batch's output files (name and content, in name order),
+# with the elapsed_ms column cut from results.csv; pinned from the
+# hand-dispatched harness the registry replaced
+BATCH_DIGESTS = {
+    "dssr": (["--seeds", "0:3", "--budget", "1000"],
+             "22c010c1716fac59dd1bb5fe27263bfec8d73d3bb6faa29ff36f9c28acfd482e"),
+    "dslin": (["--seeds", "0:2", "--k", "10", "--lambda", "100", "--max-iters", "300"],
+              "d42268b6e9be406db45adccf911ad955438ac14a6c9a2ee39ab993c1743f9997"),
+    "naive": (["--seeds", "0:2", "--k", "10", "--budget", "500"],
+              "c5b2472e524a678a32b11e1faa9b76f22145383134918af837ce0f5baa08c8d7"),
+    "r-oracle": (["--seeds", "0:2"],
+                 "3dd7c983516665806af4d0b86a69ff6eafcd061bc48b7a072490e353e04d2778"),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(BATCH_DIGESTS))
+def test_seeded_batch_outputs_are_pinned(algo, tmp_path, karate_files):
+    g, w = karate_files
+    flags, expected = BATCH_DIGESTS[algo]
+    out = tmp_path / algo
+    assert main([algo, "--graph", g, "--weights", w, "--out", str(out), *flags]) == 0
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        text = path.read_text()
+        if path.name == "results.csv":
+            text = "\n".join(",".join(ln.split(",")[:-1]) for ln in text.splitlines())
+        h.update(path.name.encode() + b"\0" + text.encode() + b"\0")
+    assert h.hexdigest() == expected

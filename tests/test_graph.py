@@ -9,7 +9,6 @@ from densebandits.graph import (
     Graph,
     as_vertex_set,
     as_weight_vector,
-    degree_in,
     density,
     induced_edges,
     load_edge_list,
@@ -26,10 +25,6 @@ class TestFromEdges:
     def test_normalization_and_indexing(self):
         G = Graph.from_edges([(1, 0), (2, 0), (2, 1)], 3)
         assert G.edges == ((0, 1), (0, 2), (1, 2))
-        assert G.edge_index(2, 1) == 2
-        assert G.edge_index(1, 2) == 2
-        with pytest.raises(KeyError):
-            Graph.from_edges([(0, 1)], 3).edge_index(1, 2)
 
     def test_loop_and_duplicate_counts(self):
         G = Graph.from_edges([(0, 1), (1, 1), (1, 0), (0, 2)], 3)
@@ -43,8 +38,8 @@ class TestFromEdges:
 
     def test_adjacency_carries_edge_indices(self, lollipop):
         assert set(lollipop.adjacency[0]) == {(1, 0), (2, 1), (3, 3)}
-        assert lollipop.degree(0) == 3
-        assert lollipop.degree(3) == 1
+        assert len(lollipop.adjacency[0]) == 3
+        assert lollipop.adjacency[3] == ((0, 3),)
 
 
 class TestEdgeListIO:
@@ -132,14 +127,6 @@ class TestSubsetQueries:
         assert density(lollipop, w, (0, 1, 2, 3)) == 0.875
         assert density(lollipop, unit, (1, 3)) == 0.0
 
-    def test_degree_in(self, lollipop):
-        unit = np.ones(4)
-        assert degree_in(lollipop, unit, (0, 1, 2, 3), 0) == 3.0
-        assert degree_in(lollipop, unit, (0, 1), 0) == 1.0
-        assert degree_in(lollipop, unit, (1, 3), 3) == 0.0
-        with pytest.raises(ValueError):
-            degree_in(lollipop, unit, (0, 1), 2)
-
     def test_star_edges(self, lollipop):
         assert star_edges(lollipop, (0, 1, 2, 3), 0) == [0, 1, 3]
         assert star_edges(lollipop, (1, 2, 3), 1) == [2]
@@ -169,7 +156,7 @@ def graph_and_subset(draw):
 def test_handshake_identity(case):
     # the sum of member degrees inside S counts each induced edge twice
     G, w, S = case
-    total = math.fsum(degree_in(G, w, S, v) for v in S)
+    total = math.fsum(float(np.sum(w[star_edges(G, S, v)])) for v in S)
     idxs = induced_edges(G, S)
     assert abs(total - 2.0 * float(np.sum(w[idxs]))) < 1e-9
 

@@ -54,18 +54,6 @@ class TestQueries:
         with pytest.raises(ValueError):
             oracle.sample_edges([0, 4])
 
-    def test_star_query_matches_edge_query(self, lollipop):
-        w = np.array([1.5, 2.0, 0.25, 4.0])
-        a = make_oracle(lollipop, w, seed=9)
-        b = make_oracle(lollipop, w, seed=9)
-        S = (0, 1, 2, 3)
-        assert a.sample_vertex_star(lollipop, S, 0) == b.sample_edges(star_edges(lollipop, S, 0))
-
-    def test_empty_star_refused(self, lollipop):
-        oracle = make_oracle(lollipop, np.ones(4), seed=0)
-        with pytest.raises(ValueError):
-            oracle.sample_vertex_star(lollipop, (1, 3), 3)
-
     def test_weights_are_copied(self, lollipop):
         w = np.ones(4)
         oracle = make_oracle(lollipop, w, noise="none", seed=0)
@@ -105,7 +93,7 @@ class TestCounters:
         oracle.sample_edges([0])
         oracle.sample_edges([1])
         oracle.sample_edges([0, 2])
-        oracle.sample_vertex_star(lollipop, (0, 1, 2, 3), 0)
+        oracle.sample_edges(star_edges(lollipop, (0, 1, 2, 3), 0))
         assert oracle.total_queries == 4
         assert oracle.single_edge_queries == 2
         assert oracle.histogram == {1: 2, 2: 1, 3: 1}
