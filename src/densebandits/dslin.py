@@ -99,6 +99,8 @@ class DsLinDiagnostics:
     stopped: bool = False
     capped: bool = False
     ct_trace: list[float] = field(default_factory=list)
+    # lhs - rhs of each stop test; the run stops at the first entry >= 0
+    margin_trace: list[float] = field(default_factory=list)
     incumbent_density_trace: list[float] = field(default_factory=list)
     est_err_trace: list[float] | None = None
     arm_counts: np.ndarray | None = None
@@ -307,6 +309,24 @@ def qp_upper_bound(A_inv: np.ndarray, exact_limit: int = _EXACT_QP_LIMIT) -> tup
     return _box_qp_bound(Q, exact_limit)
 
 
+def _stop_sides(
+    state: DesignState,
+    what: np.ndarray,
+    C: float,
+    Shat: tuple[int, ...],
+    widthHat: float,
+    U: float,
+    secondBest: float | None,
+) -> tuple[float, float]:
+    """Both sides (lhs, rhs) of the stop test at estimate ``what`` and
+    radius ``C``; the test fires when lhs >= rhs."""
+    fhat = density(state.G, what, Shat)
+    rival = fhat if secondBest is None else float(secondBest)
+    lhs = fhat - C * float(widthHat) / len(Shat)
+    rhs = rival + C * float(U) / 2.0 - state.params.epsilon
+    return lhs, rhs
+
+
 def check_stop(
     state: DesignState,
     Shat,
@@ -323,12 +343,8 @@ def check_stop(
     plus C_t * U / 2.
     """
     Shat = as_vertex_set(state.G, Shat)
-    what = estimate(state)
-    fhat = density(state.G, what, Shat)
-    C = confidence_radius(state)
-    rival = fhat if secondBest is None else float(secondBest)
-    lhs = fhat - C * float(widthHat) / len(Shat)
-    rhs = rival + C * float(U) / 2.0 - state.params.epsilon
+    what, C = estimate(state), confidence_radius(state)
+    lhs, rhs = _stop_sides(state, what, C, Shat, widthHat, U, secondBest)
     return lhs >= rhs
 
 
@@ -370,7 +386,8 @@ def run_dslin(
         res = exact_densest(G, what, start=incumbent)
         incumbent = res.subset
         diag.flow_calls += res.flow_calls
-        diag.ct_trace.append(confidence_radius(state))
+        C = confidence_radius(state)
+        diag.ct_trace.append(C)
         diag.incumbent_density_trace.append(res.value)
         if w_true is not None:
             diag.est_err_trace.append(float(np.abs(w_true - what).sum()) / m)
@@ -383,7 +400,9 @@ def run_dslin(
         second = None
         if stop_mode == "exact-second-best" and G.n >= 2:
             second = second_best_density(G, what, incumbent)
-        if check_stop(state, incumbent, width, U, second):
+        lhs, rhs = _stop_sides(state, what, C, incumbent, width, U, second)
+        diag.margin_trace.append(lhs - rhs)
+        if lhs >= rhs:
             diag.stopped = True
             break
         arm = select_arm(state, family)

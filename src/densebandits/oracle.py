@@ -2,11 +2,15 @@
 
 Each query of an edge subset F draws fresh per-edge noise and returns
 sum_{e in F} (w_e + eta_e), so the observation is sub-Gaussian with scale
-sqrt(|F|) * R around the true sum. Streams are counter-based (Philox keyed by
-the oracle seed, counter block indexed by the running query number), which
-makes every observation sequence reproducible and platform independent.
-The true weights are held privately; algorithms only see observations and
-the public query counters.
+sqrt(|F|) * R around the true sum. Streams are counter-based: each oracle
+owns one Philox generator keyed by its seed, and query j sets it to counter
+block (0, 0, j, 0) before drawing. The j-th query's noise is therefore a
+function of (seed, j, |F|) only, the same stream a fresh
+``Philox(key=seed, counter=[0, 0, j, 0])`` gives, which makes every
+observation sequence reproducible and platform independent. An oracle has a
+single owner: the generator is part of its mutable state. The true weights
+are held privately; algorithms only see observations and the public query
+counters.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ class SamplingOracle:
 
     ``total_queries`` counts every call, ``single_edge_queries`` those with
     |F| = 1, and ``histogram`` maps query size to count. The histogram total
-    always equals ``total_queries``.
+    always equals ``total_queries``. The noise generator is keyed by
+    ``seed`` when the oracle is built.
     """
 
     graph: Graph
@@ -53,10 +58,23 @@ class SamplingOracle:
     total_queries: int = 0
     single_edge_queries: int = 0
     histogram: dict[int, int] = field(default_factory=dict)
+    _bitgen: np.random.Philox = field(init=False, repr=False, compare=False)
+    _rng: np.random.Generator = field(init=False, repr=False, compare=False)
+    _state: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._bitgen = np.random.Philox(key=self.seed)
+        self._rng = np.random.Generator(self._bitgen)
+        # a fresh generator's state: counter 0 and an empty buffer
+        # (buffer_pos 4, has_uint32 0); each draw rewrites only the counter
+        self._state = self._bitgen.state
 
     def _noise_for(self, size: int) -> np.ndarray:
-        bg = np.random.Philox(key=self.seed, counter=[0, 0, self.total_queries, 0])
-        return np.random.Generator(bg).normal(0.0, self.noise.R, size=size)
+        # building Philox(key=seed, counter=[0, 0, j, 0]) per query gives the
+        # same stream but costs about three times the draw itself
+        self._state["state"]["counter"][2] = self.total_queries
+        self._bitgen.state = self._state
+        return self._rng.normal(0.0, self.noise.R, size=size)
 
     def sample_edges(self, F) -> float:
         """One noisy observation of the edge subset F (ascending-index sum)."""

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from densebandits import dslin
 from densebandits.graph import Graph, load_edge_list
 from densebandits.dslin import (
     ArmFamily,
@@ -287,6 +288,21 @@ class TestRunDsLin:
         assert subset == (0, 1, 2)
         assert diag.stopped
 
+    def test_margin_trace_records_each_stop_test(self, lollipop):
+        w = np.array([5.0, 5.0, 5.0, 1.0])
+        fam = generate_arm_family(lollipop, k=3, seed=1)
+        oracle = make_oracle(lollipop, w, noise="none", seed=0)
+        params = DsLinParams(epsilon=0.5, delta=0.1, lam=1e-12, R=0.0, L=float(np.linalg.norm(w)))
+        _, diag = run_dslin(lollipop, fam, oracle, params, max_iters=500)
+        assert diag.stopped
+        assert len(diag.margin_trace) == 1 and diag.margin_trace[0] >= 0.0
+        oracle = make_oracle(lollipop, np.ones(4), seed=0)
+        _, diag = run_dslin(lollipop, fam, oracle, DsLinParams(), max_iters=10)
+        # the capped final round runs no stop test
+        assert diag.capped
+        assert len(diag.margin_trace) == len(diag.ct_trace) - 1 == 6
+        assert all(margin < 0.0 for margin in diag.margin_trace)
+
     def test_unknown_stop_mode(self, lollipop):
         fam = generate_arm_family(lollipop, k=3, seed=1)
         oracle = make_oracle(lollipop, np.ones(4), seed=0)
@@ -317,6 +333,21 @@ class TestWarmStartedRun:
         solves = len(diag.incumbent_density_trace)
         assert solves == 201
         assert solves <= diag.flow_calls <= 1.1 * solves
+
+    def test_stop_inputs_computed_once_per_round(self, setting, monkeypatch):
+        calls = {"estimate": 0, "confidence_radius": 0}
+        for name in calls:
+
+            def counted(state, _fn=getattr(dslin, name), _name=name):
+                calls[_name] += 1
+                return _fn(state)
+
+            monkeypatch.setattr(dslin, name, counted)
+        G = setting[0]
+        _, diag = self.run(setting, G.m + 200)
+        assert calls == {"estimate": 201, "confidence_radius": 201}
+        assert len(diag.margin_trace) == 200
+        assert all(margin < 0.0 for margin in diag.margin_trace)
 
     def test_seeded_run_is_pinned(self, setting):
         # recorded before the solver was warm-started; any change to the

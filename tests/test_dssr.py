@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densebandits.graph import Graph, density
+from densebandits.graph import Graph, density, load_edge_list
 from densebandits.dssr import (
     BudgetSchedule,
     PeelingState,
@@ -15,7 +17,7 @@ from densebandits.experiments import knockout_weights
 from densebandits.oracle import make_oracle
 from densebandits.solvers import greedy_peeling, peeling_trace
 
-from conftest import random_graph
+from conftest import data_path, random_graph
 
 
 class TestSchedule:
@@ -203,6 +205,34 @@ class TestRunDssr:
         G = Graph.from_edges([(0, 1)], 5)
         subset, diag = run_dssr(G, make_oracle(G, np.zeros(1), noise="none", seed=0), 100)
         assert subset == (0, 1, 2, 3, 4)
+
+
+class TestSeededRunsPinned:
+    """Criterion-6 setting: knockout weights of seed 0, Gaussian noise
+    R = 1, T = 10^4. Digests recorded before the oracle kept one generator
+    per instance; the tau_t = 0 phases of these graphs reuse carried
+    estimates, so any change to the noise stream or the merge shows here."""
+
+    @pytest.mark.parametrize(
+        "graph,seed,queries,digest",
+        [
+            ("lesmis", 0, 2300, "fa5f920baf1824c883ed1f595f3a6ac081b0f6a26ef16d239ac8719a394658a1"),
+            ("lesmis", 1, 2300, "11db8d2e450fddf3d4be8cb522eaf9e58fa69f2979032a9ac89f9494d53276b8"),
+            ("polbooks", 0, 1619, "f96118c43a311aacc2e4cbf22e3f7f8deaa2e5f67153e465c0211dbff4939332"),
+            ("polbooks", 1, 1608, "b84f64eb6ef021b34d7d7da70d0fce4c5597d307bb06f6ee205f56dae0f0c07c"),
+        ],
+    )
+    def test_removal_order_trace_rows_and_histogram(self, graph, seed, queries, digest):
+        G = load_edge_list(data_path(f"{graph}.txt"))
+        oracle = make_oracle(G, knockout_weights(G, seed=0), seed=seed)
+        _, diag = run_dssr(G, oracle, 10_000)
+        assert diag.total_queries == queries
+        h = hashlib.sha256()
+        h.update(np.asarray(diag.removal_order, dtype=np.int64).tobytes())
+        h.update(np.asarray(diag.fhat_trace, dtype=np.float64).tobytes())
+        h.update(repr(diag.phase_rows).encode())
+        h.update(repr(sorted(diag.histogram.items())).encode())
+        assert h.hexdigest() == digest
 
 
 @given(

@@ -87,6 +87,60 @@ class TestDeterminism:
         assert a.sample_edges([0, 3]) == b.sample_edges([0, 3])
 
 
+def per_query_reference(w, seed, j, F, R):
+    """The j-th observation of F built from a fresh Philox generator at
+    counter block (0, 0, j, 0), independent of the oracle's own generator."""
+    idxs = sorted(F)
+    bg = np.random.Philox(key=seed, counter=[0, 0, j, 0])
+    return float((w[idxs] + np.random.Generator(bg).normal(0.0, R, size=len(idxs))).sum())
+
+
+def random_query(rng, m):
+    k = int(rng.integers(1, m + 1)) if rng.random() < 0.7 else 1
+    return [int(e) for e in rng.choice(m, size=k, replace=False)]
+
+
+class TestNoiseStream:
+    @pytest.mark.parametrize("seed,R", [(0, 1.0), (2**64 - 1, 0.3)])
+    def test_matches_fresh_generator_per_query(self, karate, seed, R):
+        rng = np.random.default_rng(11)
+        w = rng.uniform(1.0, 100.0, size=karate.m)
+        oracle = make_oracle(karate, w, NoiseModel("gaussian-per-edge", R=R), seed=seed)
+        refused = {70: [], 140: [3, 5, 3], 210: [0, karate.m]}
+        j = 0
+        for i in range(240):
+            if i in refused:
+                # a refused query raises and leaves counter j to the next one
+                with pytest.raises(ValueError):
+                    oracle.sample_edges(refused[i])
+                assert oracle.total_queries == j
+                continue
+            F = random_query(rng, karate.m)
+            assert oracle.sample_edges(F) == per_query_reference(w, seed, j, F, R)
+            j += 1
+        assert j == oracle.total_queries == 237
+
+    def test_same_seed_oracles_interleave_in_lockstep(self, karate):
+        rng = np.random.default_rng(4)
+        w = rng.uniform(1.0, 100.0, size=karate.m)
+        a = make_oracle(karate, w, seed=9)
+        other = make_oracle(karate, w, seed=10)
+        b = make_oracle(karate, w, seed=9)
+        for j in range(60):
+            F = random_query(rng, karate.m)
+            x = a.sample_edges(F)
+            other.sample_edges(random_query(rng, karate.m))
+            assert b.sample_edges(F) == x == per_query_reference(w, 9, j, F, 1.0)
+
+    def test_noise_free_sums_are_exact(self, karate):
+        rng = np.random.default_rng(6)
+        w = rng.integers(1, 100, size=karate.m)
+        oracle = make_oracle(karate, w.astype(np.float64), noise="none", seed=3)
+        for _ in range(200):
+            F = random_query(rng, karate.m)
+            assert oracle.sample_edges(F) == sum(int(w[e]) for e in F)
+
+
 class TestCounters:
     def test_counts_and_histogram(self, lollipop):
         oracle = make_oracle(lollipop, np.ones(4), seed=0)
