@@ -84,7 +84,7 @@ def runs(seeds):
                 rec = Recorder(make_oracle(G, w, noise, seed))
                 subset, diag = run_dssr(G, rec, T)
                 parts = (subset, diag.removal_order, diag.fhat_trace, diag.phase_rows,
-                         diag.best_phase_size, sorted(diag.histogram.items()))
+                         len(subset), sorted(diag.histogram.items()))
                 yield f"dssr/{g}/{noise_name}/seed{seed}", digest(parts, oracle_part(rec))
 
     G = load_edge_list(os.path.join(DATA, "karate.txt"))
@@ -97,7 +97,7 @@ def runs(seeds):
             rec = Recorder(make_oracle(G, w, noise, seed))
             subset, diag = run_dslin(G, family, rec, DSLIN_PARAMS, cap, stop_mode=stop_mode, w_true=w)
             parts = (subset, diag.iterations, diag.stopped, diag.capped, diag.ct_trace,
-                     diag.incumbent_density_trace, diag.est_err_trace, diag.arm_counts.tolist())
+                     diag.incumbent_density_trace, diag.est_err_trace, diag.state.counts.tolist())
             yield f"dslin-{stop_mode}/karate/gaussian-per-edge/seed{seed}", digest(parts, oracle_part(rec))
     for seed in seeds:
         rec = Recorder(make_oracle(G, w, noise, seed))

@@ -6,7 +6,7 @@ subset sum equally over the arm's induced edges, and keeps per-edge running
 averages; one exact solve on the averages produces the output.
 
 ``run_r_oracle`` is granted interval side information around the hidden
-truth (l_e = max(w_e - 1, 0), r_e = w_e + 1 by default), samples every edge
+truth (l_e = max(w_e - 1, 0), r_e = w_e + 1), samples every edge
 individually often enough to pin down its mean, clips the empirical means
 back into the intervals, and solves exactly on the resulting lower bounds.
 """
@@ -28,16 +28,14 @@ def run_naive(
     family: ArmFamily,
     oracle: SamplingOracle,
     T: int,
-    detail: bool = False,
-):
+) -> tuple[int, ...]:
     """Uniform-arm baseline under a budget of T rounds.
 
     Arms are drawn from a generator seeded with the oracle's seed. Arms with
     no induced edges burn their round without an oracle call (the oracle
     refuses empty subsets). Negative running averages are clipped to
     zero before the final exact solve, mirroring the estimator clipping of
-    the fixed-confidence algorithm. With ``detail`` the per-edge averages
-    and visit counts are returned alongside the chosen set.
+    the fixed-confidence algorithm.
     """
     if T < 1:
         raise ValueError("budget T must be at least 1")
@@ -55,10 +53,7 @@ def run_naive(
         for e in es:
             visits[e] += 1
             w_avg[e] += (share - w_avg[e]) / visits[e]
-    subset = exact_densest(G, np.clip(w_avg, 0.0, None)).subset
-    if detail:
-        return subset, w_avg, visits
-    return subset
+    return exact_densest(G, np.clip(w_avg, 0.0, None)).subset
 
 
 def run_r_oracle(
@@ -67,19 +62,11 @@ def run_r_oracle(
     oracle: SamplingOracle,
     gamma: float = 0.9,
     eps: float = 0.9,
-    literal_intervals: bool = False,
-    intervals: tuple[np.ndarray, np.ndarray] | None = None,
-    detail: bool = False,
-):
+) -> tuple[int, ...]:
     """Interval baseline: per-edge sampling with robust clipping.
 
-    Interval construction from the hidden truth uses l_e = max(w_e - 1, 0)
-    unless ``literal_intervals`` asks for l_e = min(w_e - 1, 0), whose lower
-    bounds are nonpositive and (clipped at zero for the solve) make the
-    lower-bound density collapse to zero, which raises the degenerate-
-    interval error below. Custom ``intervals`` override the construction.
-
-    Each non-degenerate edge e is sampled
+    The intervals around the hidden truth are l_e = max(w_e - 1, 0) and
+    r_e = w_e + 1. Each edge e with l_e < r_e is sampled
 
         t_e = ceil(m (r_e-l_e)^2 ln(2m/gamma) / (eps^2 f_minus^2))
 
@@ -94,19 +81,9 @@ def run_r_oracle(
         raise ValueError("eps must be positive")
     w = as_weight_vector(G, w_true_hidden)
     m = G.m
-    if intervals is not None:
-        lo = np.asarray(intervals[0], dtype=np.float64)
-        hi = np.asarray(intervals[1], dtype=np.float64)
-        if lo.shape != (m,) or hi.shape != (m,) or np.any(lo > hi):
-            raise ValueError("intervals must be two length-m arrays with lo <= hi")
-    elif literal_intervals:
-        lo = np.minimum(w - 1.0, 0.0)
-        hi = w + 1.0
-    else:
-        lo = np.maximum(w - 1.0, 0.0)
-        hi = w + 1.0
-    base = exact_densest(G, np.clip(lo, 0.0, None))
-    f_minus = base.value
+    lo = np.maximum(w - 1.0, 0.0)
+    hi = w + 1.0
+    f_minus = exact_densest(G, lo).value
     if f_minus <= 0.0:
         raise ValueError(
             "degenerate intervals: the lower-bound weights have zero optimal "
@@ -115,18 +92,11 @@ def run_r_oracle(
     half = eps * f_minus / math.sqrt(2.0 * m)
     log_term = math.log(2.0 * m / gamma)
     l_out = lo.copy()
-    r_out = hi.copy()
-    samples = np.zeros(m, dtype=np.int64)
     for e in range(m):
         if lo[e] >= hi[e]:
             continue
         t_e = math.ceil(m * (hi[e] - lo[e]) ** 2 * log_term / (eps**2 * f_minus**2))
         draws = [oracle.sample_edges([e]) for _ in range(t_e)]
-        samples[e] = t_e
         p_hat = min(max(math.fsum(draws) / t_e, lo[e]), hi[e])
         l_out[e] = max(lo[e], p_hat - half)
-        r_out[e] = min(hi[e], p_hat + half)
-    subset = exact_densest(G, np.clip(l_out, 0.0, None)).subset
-    if detail:
-        return subset, l_out, r_out, samples
-    return subset
+    return exact_densest(G, l_out).subset

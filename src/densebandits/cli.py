@@ -148,7 +148,7 @@ def _run_algorithm(args: argparse.Namespace) -> int:
 def _report(args: argparse.Namespace) -> int:
     groups: dict[tuple[str, str], list] = {}
     for path in args.paths:
-        records, _ = read_results(path)
+        records = read_results(path)
         for r in records:
             groups.setdefault((r.algo, r.graph), []).append(r)
     header = (

@@ -41,15 +41,14 @@ STOP_MODES = ("conservative", "exact-second-best")
 class ArmFamily:
     """Queryable vertex subsets with cached induced-edge supports.
 
-    Every arm has at least ``k`` vertices and a nonempty induced edge set,
-    and the stacked edge indicators span R^m so the weight vector is
-    identifiable. ``p`` is the sampling allocation over arms.
+    Every arm has at least the builder's ``k`` vertices and a nonempty
+    induced edge set, and the stacked edge indicators span R^m so the weight
+    vector is identifiable. ``p`` is the sampling allocation over arms.
     """
 
     arms: tuple[tuple[int, ...], ...]
     edge_sets: tuple[tuple[int, ...], ...]
     p: np.ndarray
-    k: int
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,6 @@ class DsLinDiagnostics:
     margin_trace: list[float] = field(default_factory=list)
     incumbent_density_trace: list[float] = field(default_factory=list)
     est_err_trace: list[float] | None = None
-    arm_counts: np.ndarray | None = None
     state: DesignState | None = None
 
 
@@ -156,18 +154,17 @@ def make_arm_family(G: Graph, arms, p=None, k: int = 3) -> ArmFamily:
         _extend_basis(basis, _indicator(G.m, es))
     if len(basis) != G.m:
         raise ValueError("arm indicators do not span all edge coordinates")
-    return ArmFamily(arms=norm_arms, edge_sets=tuple(edge_sets), p=p, k=k)
+    return ArmFamily(arms=norm_arms, edge_sets=tuple(edge_sets), p=p)
 
 
-def generate_arm_family(G: Graph, k: int, seed: int, max_attempts: int | None = None) -> ArmFamily:
+def generate_arm_family(G: Graph, k: int, seed: int) -> ArmFamily:
     """Random rank-spanning family: sizes uniform on [k, n], members uniform,
     an arm kept only when it raises the span of the stacked indicators.
-    Stops with exactly m arms; errors out if the attempt cap is hit."""
+    Stops with exactly m arms; errors out after 1000 m + 10^4 attempts."""
     if not (2 < k <= G.n):
         raise ValueError(f"need 2 < k <= n, got k={k}, n={G.n}")
     rng = np.random.default_rng(seed)
-    if max_attempts is None:
-        max_attempts = 1000 * G.m + 10000
+    max_attempts = 1000 * G.m + 10000
     basis: list[np.ndarray] = []
     arms: list[tuple[int, ...]] = []
     edge_sets: list[tuple[int, ...]] = []
@@ -189,12 +186,13 @@ def generate_arm_family(G: Graph, k: int, seed: int, max_attempts: int | None = 
             f"after {max_attempts} attempts"
         )
     p = np.full(len(arms), 1.0 / len(arms))
-    return ArmFamily(arms=tuple(arms), edge_sets=tuple(edge_sets), p=p, k=k)
+    return ArmFamily(arms=tuple(arms), edge_sets=tuple(edge_sets), p=p)
 
 
-def default_weight_norm_bound(G: Graph, w_max: float = 100.0) -> float:
-    """Fallback L when no tighter bound is known: sqrt(m) * w_max."""
-    return math.sqrt(G.m) * w_max
+def default_weight_norm_bound(G: Graph) -> float:
+    """Fallback L when no tighter bound is known: sqrt(m) * 100, where 100
+    bounds every knockout weight."""
+    return math.sqrt(G.m) * 100.0
 
 
 def init_state(G: Graph, family: ArmFamily, params: DsLinParams) -> DesignState:
@@ -410,5 +408,4 @@ def run_dslin(
         update(state, arm, reward)
 
     diag.iterations = state.t
-    diag.arm_counts = state.counts.copy()
     return incumbent, diag

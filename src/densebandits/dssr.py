@@ -64,7 +64,6 @@ class DssrDiagnostics:
     removal_order: list[int] = field(default_factory=list)
     fhat_trace: list[float] = field(default_factory=list)
     phase_rows: list[tuple[int, int, float, int, int]] = field(default_factory=list)
-    best_phase_size: int = 0
     total_queries: int = 0
     single_edge_queries: int = 0
     histogram: dict[int, int] = field(default_factory=dict)
@@ -207,7 +206,6 @@ def run_dssr(G: Graph, oracle: SamplingOracle, T: int) -> tuple[tuple[int, ...],
     used = oracle.total_queries - start_total
     if used > T:
         raise RuntimeError(f"budget violated: issued {used} queries with T={T}")
-    diag.best_phase_size = len(best_set)
     diag.total_queries = used
     diag.single_edge_queries = oracle.single_edge_queries - start_single
     diag.histogram = {

@@ -73,6 +73,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {tuple(ALGORITHMS)}")
+        if "," in Path(self.graph).stem:  # the stem is a results CSV column
+            raise ConfigError(f"graph file name must not contain a comma: {self.graph}")
         if not Path(self.graph).is_file():
             raise ConfigError(f"graph file not found: {self.graph}")
         if self.weights is None:
@@ -127,17 +129,22 @@ _KEY_TO_FIELD = {config_key(f.name): f.name for f in fields(ExperimentConfig)}
 def parse_seeds(text: str) -> tuple[int, ...]:
     """Seed list syntax: '7', '1,2,5', or half-open range '0:100'."""
     text = text.strip()
-    if ":" in text:
-        lo, hi = text.split(":", 1)
+    lo, colon, hi = text.partition(":")
+    try:
+        if not colon:
+            return tuple(int(tok) for tok in text.split(",") if tok.strip())
         lo_i, hi_i = int(lo), int(hi)
-        if hi_i <= lo_i:
-            raise ConfigError(f"empty seed range {text!r}")
-        return tuple(range(lo_i, hi_i))
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(f"bad seed list {text!r}") from None
+    if hi_i <= lo_i:
+        raise ConfigError(f"empty seed range {text!r}")
+    return tuple(range(lo_i, hi_i))
 
 
 def config_from_file(path: str | Path) -> ExperimentConfig:
     """Parse a flat key=value config file."""
+    if not Path(path).is_file():
+        raise ConfigError(f"config file not found: {path}")
     values: dict[str, object] = {}
     with Path(path).open() as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -150,22 +157,13 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
             if key not in _KEY_TO_FIELD:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             name = _KEY_TO_FIELD[key]
-            values[name] = parse_seeds(val) if name == "seeds" else FIELD_TYPES[name](val)
+            try:
+                values[name] = parse_seeds(val) if name == "seeds" else FIELD_TYPES[name](val)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad {key} value {val!r}: {exc}") from None
     if "algorithm" not in values or "graph" not in values:
         raise ConfigError(f"{path}: config must set at least algorithm and graph")
     return ExperimentConfig(**values)  # type: ignore[arg-type]
-
-
-def config_to_file(config: ExperimentConfig, path: str | Path) -> None:
-    lines = []
-    for f in fields(config):
-        val = getattr(config, f.name)
-        if val is None:
-            continue
-        if f.name == "seeds":
-            val = ",".join(str(s) for s in val)
-        lines.append(f"{config_key(f.name)}={val}")
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,6 @@ class RunRecord:
     total_queries: int
     single_edge_queries: int
     elapsed_ms: float
-    histogram_path: str | None = None
     subset_labels: tuple[str, ...] = ()  # the chosen set, not written to the CSV
 
     def csv_row(self) -> str:
@@ -239,22 +236,18 @@ def write_results(path: str | Path, records: list[RunRecord]) -> None:
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
-def read_results(path: str | Path) -> tuple[list[RunRecord], dict[str, dict[str, float]]]:
-    """Parse a results CSV back into records and aggregate rows."""
+def read_results(path: str | Path) -> list[RunRecord]:
+    """Parse a results CSV back into records, skipping the mean/std rows."""
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0] != RESULTS_HEADER:
         raise ValueError(f"{path}: unexpected results header")
     cols = RESULTS_HEADER.split(",")
     records: list[RunRecord] = []
-    aggregates: dict[str, dict[str, float]] = {}
     for line in text[1:]:
         parts = line.split(",")
         if len(parts) != len(cols):
             raise ValueError(f"{path}: malformed row {line!r}")
         if parts[2] in ("mean", "std"):
-            aggregates[parts[2]] = {
-                name: float(val) for name, val in zip(cols[3:], parts[3:])
-            }
             continue
         records.append(
             RunRecord(
@@ -270,7 +263,7 @@ def read_results(path: str | Path) -> tuple[list[RunRecord], dict[str, dict[str,
                 elapsed_ms=float(parts[9]),
             )
         )
-    return records, aggregates
+    return records
 
 
 def write_histogram(path: str | Path, histogram: dict[int, int]) -> None:
@@ -408,9 +401,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[str]
             subset, budget, trace = algo.run(config, G, w, family, oracle)
             if prefix and trace is not None:
                 _atomic_write(Path(f"{prefix}_trace.csv"), "\n".join(trace) + "\n")
-            hist_path = f"{prefix}_hist.csv" if prefix and oracle else None
-            if hist_path:
-                write_histogram(hist_path, oracle.histogram)
+            if prefix and oracle:
+                write_histogram(f"{prefix}_hist.csv", oracle.histogram)
             record = RunRecord(
                 algo=config.algorithm,
                 graph=graph_name,
@@ -422,7 +414,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[str]
                 total_queries=oracle.total_queries if oracle else 0,
                 single_edge_queries=oracle.single_edge_queries if oracle else 0,
                 elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-                histogram_path=hist_path,
                 subset_labels=tuple(G.labels[v] for v in subset),
             )
         except Exception as exc:  # noqa: BLE001 - batch keeps going per seed

@@ -21,9 +21,8 @@ Three things keep the repeated solves cheap:
   proves it optimal. Cold solves start from a greedy peel.
 - Gadget reuse. The arc arrays depend only on the graph, so they are built
   once and kept in a one-entry cache keyed by the ``Graph`` value; each guess
-  refills only the capacities. An excluded vertex keeps its arcs but no
-  edge capacity, so nothing reaches it from s; a forced vertex gets a
-  source arc no cut can afford.
+  refills only the capacities. A forced vertex gets a source arc no cut can
+  afford.
 - Pre-saturation. Before the first Dinic phase the direct path s->v->t of
   every vertex carries min(q*M, q*M + 2p - q*d(v)), which leaves each vertex
   with a source arc of q*d(v) - 2p or a sink arc of 2p - q*d(v), not both,
@@ -64,17 +63,16 @@ from .graph import Graph, as_vertex_set, as_weight_vector, density
 
 _SCALE_CAP = 2**42
 _FLOW_HEADROOM = 2**61
+_BRUTE_FORCE_MAX_N = 20
 
 
 @dataclass(frozen=True)
 class DensestResult:
-    """A maximizing vertex set, its density under the given weights, a flag
-    marking the degenerate all-zero-weight case, and the max-flow calls the
-    solve took."""
+    """A maximizing vertex set, its density under the given weights, and
+    the max-flow calls the solve took."""
 
     subset: tuple[int, ...]
     value: float
-    degenerate: bool = False
     flow_calls: int = 0
 
 
@@ -159,14 +157,14 @@ def greedy_peeling(G: Graph, w) -> tuple[tuple[int, ...], float]:
     return trace.best_subset, trace.best_value
 
 
-def brute_force_densest(G: Graph, w, max_n: int = 20) -> DensestResult:
+def brute_force_densest(G: Graph, w) -> DensestResult:
     """Exhaustive maximizer over all 2^n - 1 nonempty subsets.
 
-    Refuses graphs with more than ``max_n`` vertices. Ties break to the
-    smallest cardinality, then lexicographically smallest member tuple.
+    Refuses graphs with more than 20 vertices. Ties break to the smallest
+    cardinality, then lexicographically smallest member tuple.
     """
-    if G.n > max_n:
-        raise ValueError(f"brute force capped at n={max_n}, graph has n={G.n}")
+    if G.n > _BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force capped at n={_BRUTE_FORCE_MAX_N}, graph has n={G.n}")
     w = as_weight_vector(G, w)
     masks = np.arange(1, 2**G.n, dtype=np.uint64)
     sizes = np.bitwise_count(masks).astype(np.float64)
@@ -182,7 +180,7 @@ def brute_force_densest(G: Graph, w, max_n: int = 20) -> DensestResult:
     members = min(
         tuple(v for v in range(G.n) if (int(mask) >> v) & 1) for mask in cand_masks
     )
-    return DensestResult(subset=members, value=best, degenerate=not bool(np.any(w > 0)))
+    return DensestResult(subset=members, value=best)
 
 
 def _maxflow(to: list[int], adj: list[list[int]], cap: list[int], s: int, t: int) -> list[int]:
@@ -297,26 +295,21 @@ def _gadget_for(G: Graph) -> _Gadget:
 class _CutSolver:
     """Parametric min-cut machinery for one rounded instance.
 
-    ``exclude`` drops one vertex from the graph and ``force`` keeps one in
-    every candidate set; ``flow_calls`` counts the max-flow runs.
+    ``force`` keeps one vertex in every candidate set; ``flow_calls`` counts
+    the max-flow runs. A vertex of zero weighted degree never joins a
+    maximizer at a positive guess p/q: its sink arc keeps residual 2p, and
+    nothing flows into it.
     """
 
-    def __init__(self, G: Graph, what: np.ndarray, exclude: int | None = None, force: int | None = None):
+    def __init__(self, G: Graph, what: np.ndarray, force: int | None = None):
         self.G = G
         self.gadget = _gadget_for(G)
-        self.exclude = exclude
         self.force = force
-        self.vertices = [v for v in range(G.n) if v != exclude]
         c = what.tolist()
         deg = [0] * G.n
         for (u, v), cu in zip(G.edges, c):
             deg[u] += cu
             deg[v] += cu
-        if exclude is not None:
-            for u, idx in G.adjacency[exclude]:
-                deg[u] -= c[idx]
-                c[idx] = 0
-            deg[exclude] = 0
         self.c = c
         self.deg = deg
         self.flow_calls = 0
@@ -362,13 +355,6 @@ class _CutSolver:
         cap[4 * n + 1 :: 2] = bwd
         return cap
 
-    def _greedy_start(self) -> list[int]:
-        sub_w = np.asarray(self.c, dtype=np.float64)
-        seed_alive = np.ones(self.G.n, dtype=bool)
-        if self.exclude is not None:
-            seed_alive[self.exclude] = False
-        return _greedy_on_subgraph(self.G, sub_w, seed_alive)
-
     def solve(self, start=None, tie_break: bool = True) -> list[int]:
         """Dinkelbach iteration from ``start`` (greedy peel when None).
 
@@ -376,8 +362,8 @@ class _CutSolver:
         union of all maximizers; neither depends on the start.
         """
         if not any(self.c):
-            return [self.force if self.force is not None else self.vertices[0]]
-        start = set(self._greedy_start() if start is None else start)
+            return [self.force if self.force is not None else 0]
+        start = set(_greedy_start(self.G, np.asarray(self.c, dtype=np.float64)) if start is None else start)
         if self.force is not None:
             start.add(self.force)
         p, q = self._polish(start)
@@ -388,7 +374,7 @@ class _CutSolver:
             cap = self._capacities(p, q)
             level = _maxflow(gadget.to, gadget.adj, cap, 0, gadget.sink)
             self.flow_calls += 1
-            members = [v for v in self.vertices if level[v + 1] >= 0]
+            members = [v for v in range(self.G.n) if level[v + 1] >= 0]
             if members:
                 weight = self.weight_of(members)
                 if q * weight > p * len(members):
@@ -398,7 +384,7 @@ class _CutSolver:
                     continue
             reach_t = set(self._search(cap, gadget.sink, back=True))
             if not tie_break:
-                return [v for v in self.vertices if v + 1 not in reach_t]
+                return [v for v in range(self.G.n) if v + 1 not in reach_t]
             return self._canonical(cap, reach_t, p, q)
         raise RuntimeError("density iteration failed to converge")
 
@@ -422,7 +408,7 @@ class _CutSolver:
         while True:
             move = None
             num, den = weight, size
-            for v in self.vertices:
+            for v in range(self.G.n):
                 if not inside[v]:
                     cand = (weight + into[v], size + 1)
                 elif size > 1 and v != self.force:
@@ -464,7 +450,7 @@ class _CutSolver:
         makes it strongly connected and the only candidate. Otherwise each
         vertex of the union gives one candidate: its residual closure.
         """
-        union = [v + 1 for v in self.vertices if v + 1 not in reach_t]
+        union = [v + 1 for v in range(self.G.n) if v + 1 not in reach_t]
         root, size = union[0], len(union)
         forward = self._search(cap, root)
         if len(forward) == size and len(self._search(cap, root, True, set(union))) == size:
@@ -476,14 +462,13 @@ class _CutSolver:
         return members
 
 
-def _greedy_on_subgraph(G: Graph, w: np.ndarray, alive: np.ndarray) -> list[int]:
-    """Densest prefix of a greedy peel of the alive subgraph (a cold start)."""
+def _greedy_start(G: Graph, w: np.ndarray) -> list[int]:
+    """Densest prefix of a greedy peel (a cold start)."""
     degs = _weighted_degrees(G, w)
-    degs[~alive] = math.inf
-    num = 0.5 * float(degs[alive].sum())
+    num = 0.5 * float(degs.sum())
     order: list[int] = []
     best_num, best_den, best_removed = -1.0, 1, 0
-    for size in range(int(alive.sum()), 0, -1):
+    for size in range(G.n, 0, -1):
         if num * best_den > best_num * size:
             best_num, best_den, best_removed = num, size, len(order)
         if size == 1:
@@ -496,7 +481,7 @@ def _greedy_on_subgraph(G: Graph, w: np.ndarray, alive: np.ndarray) -> list[int]
             if degs[u] != math.inf:
                 degs[u] -= w[idx]
     removed = set(order[:best_removed])
-    return [v for v in np.flatnonzero(alive).tolist() if v not in removed]
+    return [v for v in range(G.n) if v not in removed]
 
 
 def _rounded(G: Graph, w: np.ndarray) -> np.ndarray:
@@ -510,7 +495,7 @@ def exact_densest(G: Graph, w, start=None) -> DensestResult:
     Weights are scaled to integers before solving, with the scale chosen so
     the densest-value error is far below 1e-9 on graphs of a few thousand
     vertices. The reported value is the true (unrounded) density of the
-    returned set. All-zero weights degenerate to ({0}, 0.0) with a flag.
+    returned set. All-zero weights give ({0}, 0.0).
 
     ``start``, a nonempty vertex set, seeds the density iteration in place
     of a greedy peel; a good start (such as the optimum under nearby
@@ -522,7 +507,7 @@ def exact_densest(G: Graph, w, start=None) -> DensestResult:
         if not start:
             raise ValueError("start set must be nonempty")
     if not np.any(w > 0):
-        return DensestResult(subset=(0,), value=0.0, degenerate=True)
+        return DensestResult(subset=(0,), value=0.0)
     solver = _CutSolver(G, _rounded(G, w))
     subset = tuple(solver.solve(start, tie_break=True))
     return DensestResult(subset=subset, value=density(G, w, subset), flow_calls=solver.flow_calls)
@@ -531,14 +516,17 @@ def exact_densest(G: Graph, w, start=None) -> DensestResult:
 def second_best_density(G: Graph, w, best) -> float:
     """Best density over all nonempty sets different from ``best``.
 
-    Runs one constrained solve per vertex: excluding each member of ``best``
-    and forcing each non-member. Every set other than ``best`` is feasible
-    for at least one of these, and no solve returns ``best`` itself (an
-    exclude-v solve lacks v, a force-v solve holds it), so the max over them
-    is the second-best value. Each solve is warm-started from its nearest
-    feasible neighbour of ``best`` (best - {v} or best + {v}), all of them
-    share one flow gadget, and each returns the union of its maximizers, so
-    the value depends on neither the starts nor the flows found.
+    Runs one constrained solve per vertex v: over the sets holding v if v
+    is not in ``best``, else over the sets without v, on the weights with
+    v's edges zeroed, under which v joins no maximizer (see ``_CutSolver``)
+    or, when no weight is left, the answer {0} has density 0 like every set
+    without v. Every set other than ``best`` is feasible for one of these
+    solves, and none returns a set denser than the best other set, so the
+    max over them is the second-best value. Each solve is warm-started from
+    its nearest feasible neighbour of ``best`` (best - {v} or best + {v}),
+    all of them share one flow gadget, and each returns the union of its
+    maximizers, so the value depends on neither the starts nor the flows
+    found.
     """
     w = as_weight_vector(G, w)
     best = as_vertex_set(G, best)
@@ -549,7 +537,9 @@ def second_best_density(G: Graph, w, best) -> float:
     runner_value = -math.inf
     for v in range(G.n):
         if v in best_members:
-            solver = _CutSolver(G, what, exclude=v)
+            without_v = what.copy()
+            without_v[[idx for _, idx in G.adjacency[v]]] = 0
+            solver = _CutSolver(G, without_v)
             cand = solver.solve(best_members - {v} or None, tie_break=False)
         else:
             solver = _CutSolver(G, what, force=v)

@@ -35,6 +35,38 @@ def karate() -> Graph:
     return load_edge_list(data_path("karate.txt"))
 
 
+class RecordingOracle:
+    """Passes queries through to an oracle and keeps every (edge set,
+    observation) pair, so a test can see what an algorithm asked and saw."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.queries: list[tuple[tuple[int, ...], float]] = []
+
+    def sample_edges(self, F):
+        obs = self._oracle.sample_edges(F)
+        self.queries.append((tuple(F), obs))
+        return obs
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+    def edge_visits(self, m: int) -> np.ndarray:
+        """How many recorded queries each edge index was part of."""
+        visits = np.zeros(m, dtype=np.int64)
+        for F, _ in self.queries:
+            visits[list(F)] += 1
+        return visits
+
+    def edge_share_means(self, m: int) -> np.ndarray:
+        """Per edge, the mean of obs / |F| over the queries holding it
+        (0 for an edge never queried)."""
+        total = np.zeros(m)
+        for F, obs in self.queries:
+            total[list(F)] += obs / len(F)
+        return total / np.maximum(self.edge_visits(m), 1)
+
+
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:
     """Erdos-Renyi draw that always has at least one edge."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

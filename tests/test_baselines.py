@@ -9,7 +9,7 @@ from densebandits.graph import Graph
 from densebandits.oracle import NoiseModel, make_oracle
 from densebandits.solvers import exact_densest
 
-from conftest import random_graph
+from conftest import RecordingOracle, random_graph
 
 
 def singleton_edge_family(G):
@@ -18,7 +18,6 @@ def singleton_edge_family(G):
         arms=tuple(G.edges),
         edge_sets=tuple((i,) for i in range(G.m)),
         p=np.full(G.m, 1.0 / G.m),
-        k=2,
     )
 
 
@@ -30,7 +29,7 @@ class TestNaive:
             run_naive(lollipop, fam, orc, T=0)
 
     def test_rejects_empty_family(self, lollipop):
-        fam = ArmFamily(arms=(), edge_sets=(), p=np.zeros(0), k=2)
+        fam = ArmFamily(arms=(), edge_sets=(), p=np.zeros(0))
         orc = make_oracle(lollipop, np.ones(4), NoiseModel(kind="none"), seed=0)
         with pytest.raises(ValueError, match="empty"):
             run_naive(lollipop, fam, orc, T=5)
@@ -41,17 +40,16 @@ class TestNaive:
         fam = singleton_edge_family(lollipop)
         out = []
         for _ in range(2):
-            orc = make_oracle(lollipop, w, noise, seed=13)
-            out.append(run_naive(lollipop, fam, orc, T=30, detail=True))
-        assert out[0][0] == out[1][0]
-        assert np.array_equal(out[0][1], out[1][1])
-        assert np.array_equal(out[0][2], out[1][2])
+            orc = RecordingOracle(make_oracle(lollipop, w, noise, seed=13))
+            out.append((run_naive(lollipop, fam, orc, T=30), orc.queries))
+        assert out[0] == out[1]
 
     def test_visit_accounting_matches_replayed_arm_draws(self, lollipop):
         fam = singleton_edge_family(lollipop)
-        orc = make_oracle(lollipop, np.ones(4), NoiseModel(kind="none"), seed=5)
+        orc = RecordingOracle(make_oracle(lollipop, np.ones(4), NoiseModel(kind="none"), seed=5))
         T = 40
-        _, _, visits = run_naive(lollipop, fam, orc, T=T, detail=True)
+        run_naive(lollipop, fam, orc, T=T)
+        visits = orc.edge_visits(lollipop.m)
         replay = np.random.default_rng(5)
         expect = np.zeros(lollipop.m, dtype=np.int64)
         for _ in range(T):
@@ -66,11 +64,11 @@ class TestNaive:
             arms=((3,), (0, 1, 2)),
             edge_sets=((), (0, 1, 2)),
             p=np.array([0.5, 0.5]),
-            k=3,
         )
-        orc = make_oracle(lollipop, np.ones(4), NoiseModel(kind="none"), seed=11)
+        orc = RecordingOracle(make_oracle(lollipop, np.ones(4), NoiseModel(kind="none"), seed=11))
         T = 24
-        _, _, visits = run_naive(lollipop, fam, orc, T=T, detail=True)
+        run_naive(lollipop, fam, orc, T=T)
+        visits = orc.edge_visits(lollipop.m)
         replay = np.random.default_rng(11)
         arm1_rounds = sum(int(replay.integers(2)) == 1 for _ in range(T))
         assert orc.total_queries == arm1_rounds < T
@@ -80,23 +78,25 @@ class TestNaive:
     def test_noiseless_singleton_arms_recover_exact_optimum(self, lollipop):
         w = np.array([2.0, 1.0, 3.0, 0.5])
         fam = singleton_edge_family(lollipop)
-        orc = make_oracle(lollipop, w, NoiseModel(kind="none"), seed=3)
-        subset, w_avg, visits = run_naive(lollipop, fam, orc, T=200, detail=True)
-        assert np.all(visits > 0)
-        seen = visits > 0
-        assert np.allclose(w_avg[seen], w[seen])
+        orc = RecordingOracle(make_oracle(lollipop, w, NoiseModel(kind="none"), seed=3))
+        subset = run_naive(lollipop, fam, orc, T=200)
+        assert np.all(orc.edge_visits(lollipop.m) > 0)
+        assert np.allclose(orc.edge_share_means(lollipop.m), w)
         assert subset == exact_densest(lollipop, w).subset
 
     def test_negative_averages_are_clipped_not_fatal(self, lollipop):
         # frozen: seed 0 with R=5 drives two averages negative
         w = np.full(4, 0.5)
-        orc = make_oracle(lollipop, w, NoiseModel(kind="gaussian-per-edge", R=5.0), seed=0)
+        orc = RecordingOracle(
+            make_oracle(lollipop, w, NoiseModel(kind="gaussian-per-edge", R=5.0), seed=0)
+        )
         fam = singleton_edge_family(lollipop)
-        subset, w_avg, _ = run_naive(lollipop, fam, orc, T=12, detail=True)
+        subset = run_naive(lollipop, fam, orc, T=12)
+        w_avg = orc.edge_share_means(lollipop.m)
         assert w_avg.min() < 0 < w_avg.max()
-        assert subset == (0, 3)
+        assert subset == (0, 3) == exact_densest(lollipop, np.clip(w_avg, 0.0, None)).subset
 
-    def test_detail_flag_controls_return_shape(self, lollipop):
+    def test_returns_a_vertex_tuple(self, lollipop):
         fam = singleton_edge_family(lollipop)
         orc = make_oracle(lollipop, np.ones(4), NoiseModel(kind="none"), seed=1)
         plain = run_naive(lollipop, fam, orc, T=10)
@@ -121,66 +121,43 @@ class TestROracle:
         with pytest.raises(ValueError, match="eps"):
             run_r_oracle(lollipop, np.ones(4), orc, eps=0.0)
 
-    def test_literal_interval_construction_is_degenerate(self, lollipop):
-        # l_e = min(w_e - 1, 0) zeroes every lower bound, so the
-        # lower-bound optimum is 0 and the sample count is undefined
-        orc = make_oracle(lollipop, 3.0 * np.ones(4), NoiseModel(kind="none"), seed=0)
+    def test_weights_at_most_one_give_degenerate_intervals(self, lollipop):
+        # l_e = max(w_e - 1, 0) = 0 for every edge, so the lower-bound
+        # optimum is 0 and the sample count is undefined
+        orc = make_oracle(lollipop, np.ones(4), NoiseModel(kind="none"), seed=0)
         with pytest.raises(ValueError, match="degenerate"):
-            run_r_oracle(lollipop, 3.0 * np.ones(4), orc, literal_intervals=True)
+            run_r_oracle(lollipop, np.ones(4), orc)
+        assert orc.total_queries == 0
 
     def test_frozen_uniform_weight_case(self, lollipop):
         # w = 3: lo = 2, hi = 4, f_minus = 2 on the triangle,
         # t_e = ceil(16 ln(8/0.9) / 3.24) = 11 per edge, all single-edge
         w = 3.0 * np.ones(4)
-        orc = make_oracle(lollipop, w, NoiseModel(kind="none"), seed=0)
-        subset, l_out, r_out, samples = run_r_oracle(lollipop, w, orc, detail=True)
+        orc = RecordingOracle(make_oracle(lollipop, w, NoiseModel(kind="none"), seed=0))
+        subset = run_r_oracle(lollipop, w, orc)
         assert subset == (0, 1, 2)
-        assert np.array_equal(samples, np.full(4, 11))
+        assert np.array_equal(orc.edge_visits(lollipop.m), np.full(4, 11))
         assert orc.total_queries == 44
         assert orc.single_edge_queries == 44
         assert orc.histogram == {1: 44}
-        half = 0.9 * 2.0 / math.sqrt(8.0)
-        assert np.allclose(l_out, 3.0 - half)
-        assert np.allclose(r_out, 3.0 + half)
 
     def test_sample_count_formula(self, lollipop):
         w = 3.0 * np.ones(4)
         for gamma, eps in [(0.9, 0.9), (0.5, 0.3), (0.05, 1.5)]:
-            orc = make_oracle(lollipop, w, NoiseModel(kind="none"), seed=0)
-            _, _, _, samples = run_r_oracle(lollipop, w, orc, gamma=gamma, eps=eps, detail=True)
+            orc = RecordingOracle(make_oracle(lollipop, w, NoiseModel(kind="none"), seed=0))
+            run_r_oracle(lollipop, w, orc, gamma=gamma, eps=eps)
             t_e = math.ceil(4 * 4.0 * math.log(8.0 / gamma) / (eps**2 * 4.0))
-            assert np.array_equal(samples, np.full(4, t_e))
-
-    def test_custom_intervals_skip_pinned_edges(self, lollipop):
-        w = 3.0 * np.ones(4)
-        lo = np.array([3.0, 3.0, 3.0, 0.0])
-        hi = np.array([3.0, 3.0, 3.0, 6.0])
-        orc = make_oracle(lollipop, w, NoiseModel(kind="none"), seed=0)
-        subset, l_out, r_out, samples = run_r_oracle(
-            lollipop, w, orc, intervals=(lo, hi), detail=True
-        )
-        assert samples[0] == samples[1] == samples[2] == 0
-        assert samples[3] > 0
-        assert l_out[0] == r_out[0] == 3.0
-        assert orc.total_queries == samples[3]
-        assert subset == (0, 1, 2)
-
-    def test_custom_intervals_validated(self, lollipop):
-        orc = make_oracle(lollipop, np.ones(4), NoiseModel(kind="none"), seed=0)
-        with pytest.raises(ValueError, match="length-m"):
-            run_r_oracle(lollipop, np.ones(4), orc, intervals=(np.zeros(3), np.ones(3)))
-        with pytest.raises(ValueError, match="lo <= hi"):
-            run_r_oracle(
-                lollipop, np.ones(4), orc, intervals=(np.full(4, 2.0), np.ones(4))
-            )
+            assert np.array_equal(orc.edge_visits(lollipop.m), np.full(4, t_e))
 
     def test_clipping_keeps_estimates_inside_intervals(self, lollipop):
-        w = 3.0 * np.ones(4)
-        orc = make_oracle(lollipop, w, NoiseModel(kind="gaussian-per-edge", R=4.0), seed=9)
-        _, l_out, r_out, _ = run_r_oracle(lollipop, w, orc, detail=True)
-        assert np.all(l_out >= np.maximum(w - 1.0, 0.0) - 1e-12)
-        assert np.all(r_out <= w + 1.0 + 1e-12)
-        assert np.all(l_out <= r_out + 1e-12)
+        # the pendant edge reports 100, far above r_e = 4. Clipped into
+        # [2, 4], its lower bound is 4 - half and the full set wins; left
+        # unclipped it would be 100 - half and the pendant pair would win
+        class PendantReportsHigh:
+            def sample_edges(self, F):
+                return 100.0 if list(F) == [3] else 3.0
+
+        assert run_r_oracle(lollipop, 3.0 * np.ones(4), PendantReportsHigh()) == (0, 1, 2, 3)
 
     def test_noisy_output_matches_truth_on_separated_instance(self):
         # planted triangle at weight 9 vs pendant path at 0.5: the interval

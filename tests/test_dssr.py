@@ -178,7 +178,6 @@ class TestRunDssr:
         subset, diag = run_dssr(karate, oracle, 1000)
         assert len(diag.fhat_trace) == 33
         assert len(diag.removal_order) == 33
-        assert diag.best_phase_size == len(subset)
         assert diag.total_queries == oracle.total_queries <= 1000
         assert sum(diag.histogram.values()) == diag.total_queries
         assert diag.histogram.get(1, 0) == diag.single_edge_queries

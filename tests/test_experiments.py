@@ -1,7 +1,6 @@
 import argparse
 import dataclasses
 import hashlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from densebandits.experiments import (
     ExperimentConfig,
     RunRecord,
     config_from_file,
-    config_to_file,
     default_budget,
     knockout_weights,
     parse_seeds,
@@ -89,14 +87,18 @@ class TestConfigFile:
         for f in dataclasses.fields(cfg):
             assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
         path = tmp_path / "run.cfg"
-        config_to_file(cfg, path)
-        assert "lambda=2.0" in path.read_text().splitlines()
+        path.write_text(
+            "algorithm=dslin\ngraph=g.txt\nweights=w.txt\nseeds=0,3,9\nout=res\n"
+            "budget=77\nmax-iters=300\nk=4\nepsilon=0.25\ndelta=0.05\nlambda=2.0\n"
+            "R=0.5\nL=7.5\nstop-mode=exact-second-best\ngamma=0.8\nnoise=none\n"
+            "family-seed=11\n"
+        )
         assert config_from_file(path) == cfg
 
     def test_unset_optionals_stay_none(self, tmp_path, lollipop_files):
         g, w = lollipop_files
         path = tmp_path / "run.cfg"
-        config_to_file(ExperimentConfig(algorithm="exact", graph=g, weights=w), path)
+        path.write_text(f"algorithm=exact\ngraph={g}\nweights={w}\n")
         back = config_from_file(path)
         assert back.budget is None and back.max_iters is None and back.L is None
 
@@ -130,6 +132,7 @@ class TestValidate:
         cases = [
             (dict(algorithm="newton"), "unknown algorithm"),
             (dict(graph="/nonexistent/g.txt"), "graph file not found"),
+            (dict(graph="/nonexistent/ka,rate.txt"), "must not contain a comma"),
             (dict(weights=None), "weight file is required"),
             (dict(weights="/nonexistent/w.txt"), "weight file not found"),
             (dict(seeds=()), "at least one seed"),
@@ -203,18 +206,18 @@ class TestResultsCsv:
         path = tmp_path / "results.csv"
         recs = self.records()
         write_results(path, recs)
-        back, aggregates = read_results(path)
-        assert back == recs
-        assert aggregates["mean"]["quality"] == pytest.approx(2.625)
-        assert aggregates["mean"]["total_queries"] == pytest.approx(89.0)
-        assert aggregates["std"]["quality"] == pytest.approx(0.125)
+        assert read_results(path) == recs
+        rows = {ln.split(",")[2]: ln.split(",") for ln in path.read_text().splitlines()[3:]}
+        assert float(rows["mean"][4]) == pytest.approx(2.625)
+        assert float(rows["mean"][7]) == pytest.approx(89.0)
+        assert float(rows["std"][4]) == pytest.approx(0.125)
 
     def test_float_fields_survive_exactly(self, tmp_path):
         # repr round-trip must be exact, not approximate
         path = tmp_path / "results.csv"
         q = 2.0 / 3.0 + 1e-16
         write_results(path, [RunRecord("exact", "g", 0, 0, q, q, 2, 0, 0, 0.123456789)])
-        back, _ = read_results(path)
+        back = read_results(path)
         assert back[0].quality == q
         assert back[0].elapsed_ms == 0.123456789
 
@@ -255,7 +258,7 @@ class TestRunExperiment:
         for r in recs:
             assert r.budget == 60
             assert r.total_queries <= 60
-            hist_lines = Path(r.histogram_path).read_text().strip().splitlines()
+            hist_lines = (out / f"dssr_lolli_seed{r.seed}_hist.csv").read_text().strip().splitlines()
             hist = {int(a): int(b) for a, b in (ln.split(",") for ln in hist_lines[1:])}
             assert sum(hist.values()) == r.total_queries
             assert hist.get(1, 0) == r.single_edge_queries
@@ -277,7 +280,7 @@ class TestRunExperiment:
         )
         first, _ = run_experiment(cfg)
         path = tmp_path / "replay.cfg"
-        config_to_file(cfg, path)
+        path.write_text(f"algorithm=dssr\ngraph={g}\nweights={w}\nseeds=0,5\nbudget=80\n")
         second, _ = run_experiment(config_from_file(path))
         norm = lambda rs: [dataclasses.replace(r, elapsed_ms=0.0) for r in rs]
         assert norm(first) == norm(second)
@@ -370,7 +373,7 @@ class TestCli:
         row = lines[1].split(",")
         assert row[0] == "dssr" and row[2] == "2"
         frac = float(row[8])
-        recs, _ = read_results(out / "results.csv")
+        recs = read_results(out / "results.csv")
         assert frac == pytest.approx(
             sum(r.single_edge_queries for r in recs) / sum(r.total_queries for r in recs)
         )
@@ -379,15 +382,11 @@ class TestCli:
     def test_config_file_with_flag_override(self, tmp_path, lollipop_files):
         g, w = lollipop_files
         cfg = tmp_path / "run.cfg"
-        config_to_file(
-            ExperimentConfig(algorithm="dssr", graph=g, weights=w, seeds=(0,),
-                             budget=80, noise="none"),
-            cfg,
-        )
+        cfg.write_text(f"algorithm=dssr\ngraph={g}\nweights={w}\nseeds=0\nbudget=80\nnoise=none\n")
         out = tmp_path / "res"
         code = main(["dssr", "--config", str(cfg), "--budget", "60", "--out", str(out)])
         assert code == 0
-        recs, _ = read_results(out / "results.csv")
+        recs = read_results(out / "results.csv")
         assert recs[0].budget == 60
 
     def test_seeds_flag_beats_seed_flag(self, tmp_path, lollipop_files):
@@ -397,15 +396,24 @@ class TestCli:
                      "--seeds", "0:4", "--budget", "60", "--noise", "none",
                      "--out", str(out)])
         assert code == 0
-        recs, _ = read_results(out / "results.csv")
+        recs = read_results(out / "results.csv")
         assert [r.seed for r in recs] == [0, 1, 2, 3]
 
-    def test_exit_code_1_on_config_errors(self, lollipop_files, capsys):
+    def test_exit_code_1_on_config_errors(self, tmp_path, lollipop_files, capsys):
         g, w = lollipop_files
         assert main(["exact", "--weights", w]) == 1
         assert "config error" in capsys.readouterr().err
         assert main(["exact", "--graph", "/nonexistent.txt", "--weights", w]) == 1
         assert main(["dssr", "--graph", g, "--weights", w, "--budget", "0"]) == 1
+        assert main(["dssr", "--graph", g, "--weights", w, "--seeds", "a"]) == 1
+        assert "bad seed list 'a'" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        for line in ("seeds=x", "budget=1e4"):
+            cfg.write_text(f"graph={g}\nweights={w}\n{line}\n")
+            assert main(["dssr", "--config", str(cfg)]) == 1
+            assert f"config error: {cfg}:3: bad {line.split('=')[0]} value" in capsys.readouterr().err
+        assert main(["dssr", "--config", str(tmp_path / "missing.cfg")]) == 1
+        assert "config file not found" in capsys.readouterr().err
 
     def test_exit_code_1_on_bad_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -445,7 +453,7 @@ class TestCli:
         assert main(flags + ["--out", str(out)]) == 3
         assert str(out / "errors.log") in capsys.readouterr().err
         assert (out / "errors.log").read_text() == "seed 1: RuntimeError: planted failure\n"
-        recs, _ = read_results(out / "results.csv")
+        recs = read_results(out / "results.csv")
         assert [r.seed for r in recs] == [0, 2]
 
 

@@ -38,7 +38,6 @@ class TestExactDensest:
         # the full set ties at density 1.0; smallest cardinality wins
         assert res.subset == (0, 1, 2)
         assert res.value == pytest.approx(1.0, abs=1e-12)
-        assert not res.degenerate
 
     def test_lollipop_half_pendant(self, lollipop):
         w = np.array([1.0, 1.0, 1.0, 0.5])
@@ -62,7 +61,6 @@ class TestExactDensest:
 
     def test_all_zero_weights_degenerate(self, lollipop):
         res = exact_densest(lollipop, np.zeros(4))
-        assert res.degenerate
         assert res.subset == (0,)
         assert res.value == 0.0
 
@@ -106,6 +104,9 @@ class TestBruteForce:
         G = Graph.from_edges([(i, i + 1) for i in range(21)], 22)
         with pytest.raises(ValueError):
             brute_force_densest(G, np.ones(21))
+        G = Graph.from_edges([(i, i + 1) for i in range(20)], 21)
+        with pytest.raises(ValueError, match="capped at n=20"):
+            brute_force_densest(G, np.ones(20))
 
     def test_tie_break_order(self):
         G = Graph.from_edges([(0, 1), (2, 3)], 4)
@@ -252,7 +253,7 @@ class TestWarmStart:
 
     def test_degenerate_weights_ignore_the_start(self, lollipop):
         res = exact_densest(lollipop, np.zeros(4), start=(2, 3))
-        assert res.degenerate and res.subset == (0,) and res.flow_calls == 0
+        assert res.subset == (0,) and res.value == 0.0 and res.flow_calls == 0
 
     def test_alternating_graphs_of_one_shape(self):
         # same n and m, different edges, and an equal copy built anew: the
