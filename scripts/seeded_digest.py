@@ -6,7 +6,11 @@ DS-SR on the three bundled graphs with noise ``gaussian-per-edge`` (R = 1)
 and ``none``, DS-Lin on karate at m + 150 rounds in both stop modes, the
 naive baseline at the same budget, and the R-oracle baseline. Weights are
 the knockout weights of seed 0. A digest covers the run's outputs and
-diagnostics and every observation the oracle returned, in order.
+diagnostics and every observation the oracle returned, in order. The
+offline solvers follow, one line each per bundled graph: the exact optimum
+(subset and value; ``flow_calls`` measures cost, not output), the
+second-best density, and the greedy peel (``peeling_trace``'s order,
+densities, best subset and value).
 
 The package is imported from ``PYTHONPATH`` first and from this checkout's
 ``src/`` otherwise, so comparing two checkouts is
@@ -34,13 +38,16 @@ from densebandits import (  # noqa: E402
     NoiseModel,
     generate_arm_family,
     load_edge_list,
+    exact_densest,
     make_oracle,
     run_dslin,
     run_dssr,
     run_naive,
     run_r_oracle,
+    second_best_density,
 )
 from densebandits.experiments import default_budget, knockout_weights  # noqa: E402
+from densebandits.solvers import peeling_trace  # noqa: E402
 
 GRAPHS = ("karate", "lesmis", "polbooks")
 NOISES = {"gaussian-per-edge": NoiseModel("gaussian-per-edge", R=1.0), "none": NoiseModel("none")}
@@ -107,6 +114,15 @@ def runs(seeds):
         rec = Recorder(make_oracle(G, w, noise, seed))
         subset = run_r_oracle(G, w, rec)
         yield f"r-oracle/karate/gaussian-per-edge/seed{seed}", digest(subset, oracle_part(rec))
+
+    for g in GRAPHS:
+        G = load_edge_list(os.path.join(DATA, f"{g}.txt"))
+        w = knockout_weights(G, seed=0)
+        best = exact_densest(G, w)
+        yield f"exact/{g}", digest(best.subset, best.value)
+        yield f"second-best/{g}", digest(second_best_density(G, w, best.subset))
+        trace = peeling_trace(G, w)
+        yield f"g-oracle/{g}", digest(trace.order, trace.densities, trace.best_subset, trace.best_value)
 
 
 def main(argv=None) -> int:

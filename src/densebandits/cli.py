@@ -26,11 +26,12 @@ from .experiments import (
     ExperimentConfig,
     config_from_file,
     config_key,
-    generate_weight_file,
+    knockout_weights,
     parse_seeds,
     read_results,
     run_experiment,
 )
+from .graph import load_edge_list, save_weights
 from .oracle import NOISE_KINDS
 
 
@@ -178,7 +179,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "gen-weights":
-            generate_weight_file(args.graph, args.seed, args.out)
+            G = load_edge_list(args.graph)
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+            save_weights(args.out, G, knockout_weights(G, args.seed))
             print(f"wrote knockout weights (seed {args.seed}) to {args.out}")
             return 0
         if args.command == "report":

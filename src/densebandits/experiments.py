@@ -11,14 +11,18 @@ the dataclass fields.
 Each seed gets its own oracle; the arm family, when one is needed, is
 generated once per batch from ``family_seed`` so every seed and every
 algorithm compares on identical arms. Results go to a flat CSV with one row
-per seed plus mean/std aggregate rows, and per-run query-size histograms and
-traces are written as separate CSVs. A seed that raises is skipped and its
-error returned with the records (and written to ``errors.log``).
+per seed plus mean/std aggregate rows; its columns are ``RunRecord``'s
+fields, typed by their annotations like the config fields. Per-run
+query-size histograms and traces are written as separate CSVs. A seed that
+raises is skipped and its error returned with the records (and written to
+``errors.log``).
 """
 
 from __future__ import annotations
 
+import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import UnionType
@@ -29,13 +33,10 @@ import numpy as np
 from .baselines import run_naive, run_r_oracle
 from .dslin import STOP_MODES, DsLinParams, generate_arm_family, run_dslin
 from .dssr import run_dssr
-from .graph import Graph, density, induced_edges, load_edge_list, load_weights, save_weights
+from .graph import Graph, density, induced_edges, load_edge_list, load_weights
 from .oracle import NOISE_KINDS, NoiseModel, make_oracle
 from .solvers import brute_force_densest, exact_densest, greedy_peeling
 
-RESULTS_HEADER = (
-    "algo,graph,seed,budget,quality,opt,out_size,total_queries,single_edge_queries,elapsed_ms"
-)
 HISTOGRAM_HEADER = "query_size,count"
 
 
@@ -83,6 +84,13 @@ class ExperimentConfig:
             raise ConfigError(f"weight file not found: {self.weights}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        repeated = [seed for seed, count in Counter(self.seeds).items() if count > 1]
+        if repeated:
+            raise ConfigError(f"seed {repeated[0]} is repeated")
+        for name, kind in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is float and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{config_key(name)} must be finite, got {value}")
         if self.k <= 2:
             raise ConfigError("k must exceed 2")
         if self.budget is not None and self.budget < 1:
@@ -97,6 +105,8 @@ class ExperimentConfig:
             raise ConfigError("lambda must be positive")
         if self.R < 0:
             raise ConfigError("R must be nonnegative")
+        if self.L is not None and self.L < 0:
+            raise ConfigError("L must be nonnegative")
         if self.noise == "gaussian-per-edge" and self.R == 0:
             raise ConfigError("gaussian noise needs R > 0 (use noise=none for exact sums)")
         if self.stop_mode not in STOP_MODES:
@@ -157,6 +167,8 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
             if key not in _KEY_TO_FIELD:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             name = _KEY_TO_FIELD[key]
+            if name in values:
+                raise ConfigError(f"{path}:{lineno}: {key} is set twice")
             try:
                 values[name] = parse_seeds(val) if name == "seeds" else FIELD_TYPES[name](val)
             except ValueError as exc:
@@ -168,7 +180,12 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One seeded run's outcome, flattened for the results CSV."""
+    """One seeded run's outcome, flattened for the results CSV.
+
+    The fields before ``subset_labels`` are the CSV's columns, in order; a
+    column is written with ``str`` (floats with ``repr``, so they read back
+    exactly) and read with its annotated type.
+    """
 
     algo: str
     graph: str
@@ -182,21 +199,19 @@ class RunRecord:
     elapsed_ms: float
     subset_labels: tuple[str, ...] = ()  # the chosen set, not written to the CSV
 
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                self.algo,
-                self.graph,
-                str(self.seed),
-                str(self.budget),
-                repr(float(self.quality)),
-                repr(float(self.opt)),
-                str(self.out_size),
-                str(self.total_queries),
-                str(self.single_edge_queries),
-                repr(float(self.elapsed_ms)),
-            ]
-        )
+
+# the mean/std rows keep the columns before ``seed``, put their label in it
+# and aggregate the columns after it
+_COLUMNS = tuple(
+    (name, kind) for name, kind in get_type_hints(RunRecord).items() if name != "subset_labels"
+)
+_SEED = [name for name, _ in _COLUMNS].index("seed")
+RESULTS_HEADER = ",".join(name for name, _ in _COLUMNS)
+
+
+def _cells(record: RunRecord, columns) -> list[str]:
+    values = [(kind, getattr(record, name)) for name, kind in columns]
+    return [repr(float(x)) if kind is float else str(x) for kind, x in values]
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -209,30 +224,15 @@ def _atomic_write(path: Path, text: str) -> None:
 def write_results(path: str | Path, records: list[RunRecord]) -> None:
     """Emit the results CSV: one row per record plus mean/std rows."""
     lines = [RESULTS_HEADER]
-    lines.extend(r.csv_row() for r in records)
+    lines.extend(",".join(_cells(r, _COLUMNS)) for r in records)
     if records:
+        keys = _cells(records[0], _COLUMNS[:_SEED])
         numeric = np.array(
-            [
-                [
-                    r.budget,
-                    r.quality,
-                    r.opt,
-                    r.out_size,
-                    r.total_queries,
-                    r.single_edge_queries,
-                    r.elapsed_ms,
-                ]
-                for r in records
-            ],
+            [[getattr(r, name) for name, _ in _COLUMNS[_SEED + 1 :]] for r in records],
             dtype=np.float64,
         )
-        for name, stat in (("mean", numeric.mean(axis=0)), ("std", numeric.std(axis=0))):
-            lines.append(
-                ",".join(
-                    [records[0].algo, records[0].graph, name]
-                    + [repr(float(x)) for x in stat]
-                )
-            )
+        for label, stat in (("mean", numeric.mean(axis=0)), ("std", numeric.std(axis=0))):
+            lines.append(",".join(keys + [label] + [repr(float(x)) for x in stat]))
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
@@ -241,28 +241,14 @@ def read_results(path: str | Path) -> list[RunRecord]:
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0] != RESULTS_HEADER:
         raise ValueError(f"{path}: unexpected results header")
-    cols = RESULTS_HEADER.split(",")
     records: list[RunRecord] = []
     for line in text[1:]:
         parts = line.split(",")
-        if len(parts) != len(cols):
+        if len(parts) != len(_COLUMNS):
             raise ValueError(f"{path}: malformed row {line!r}")
-        if parts[2] in ("mean", "std"):
+        if parts[_SEED] in ("mean", "std"):
             continue
-        records.append(
-            RunRecord(
-                algo=parts[0],
-                graph=parts[1],
-                seed=int(parts[2]),
-                budget=int(parts[3]),
-                quality=float(parts[4]),
-                opt=float(parts[5]),
-                out_size=int(parts[6]),
-                total_queries=int(parts[7]),
-                single_edge_queries=int(parts[8]),
-                elapsed_ms=float(parts[9]),
-            )
-        )
+        records.append(RunRecord(**{name: kind(part) for (name, kind), part in zip(_COLUMNS, parts)}))
     return records
 
 
@@ -388,7 +374,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[str]
     graph_name = Path(config.graph).stem
     opt = exact_densest(G, w).value
     out_dir = Path(config.out) if config.out else None
-    noise = NoiseModel(kind=config.noise, R=config.R) if config.noise != "none" else NoiseModel("none")
+    noise = NoiseModel(kind=config.noise, R=config.R)
     family = generate_arm_family(G, config.k, config.family_seed) if algo.family else None
 
     records: list[RunRecord] = []
@@ -430,11 +416,3 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[str]
         if errors:
             _atomic_write(out_dir / "errors.log", "\n".join(errors) + "\n")
     return records, errors
-
-
-def generate_weight_file(graph_path: str | Path, seed: int, out_path: str | Path) -> np.ndarray:
-    """gen-weights entry: knockout weights for a graph, written atomically."""
-    G = load_edge_list(graph_path)
-    w = knockout_weights(G, seed)
-    save_weights(out_path, G, w)
-    return w

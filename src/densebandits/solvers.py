@@ -121,31 +121,34 @@ def peeling_trace(G: Graph, w) -> PeelingTrace:
     alive = np.ones(G.n, dtype=bool)
     order: list[int] = []
     densities: list[float] = []
-    best_subset: tuple[int, ...] = ()
     best_value = -math.inf
+    best_removed = 0
     degs = np.zeros(G.n)
+    changed = range(G.n)
     for size in range(G.n, 0, -1):
-        members = np.flatnonzero(alive)
-        # star sums recomputed per phase, ascending edge index: this is the
-        # same float expression the sampling oracle evaluates, so the
-        # noise-free budgeted peel reproduces these values bit for bit
-        for v in members:
+        # star sums, ascending edge index, of the vertices whose star the last
+        # removal changed: this is the same float expression the sampling
+        # oracle evaluates, so the noise-free budgeted peel reproduces these
+        # values bit for bit
+        for v in changed:
             idxs = sorted(idx for u, idx in G.adjacency[v] if alive[u])
             degs[v] = float(w[idxs].sum()) if idxs else 0.0
+        members = np.flatnonzero(alive)
         f = 0.5 * float(degs[members].sum()) / size
         densities.append(f)
         if f > best_value:
-            best_value = f
-            best_subset = tuple(int(x) for x in members)
+            best_value, best_removed = f, len(order)
         if size == 1:
             break
         v = int(members[np.argmin(degs[members])])
         order.append(v)
         alive[v] = False
+        changed = [u for u, _ in G.adjacency[v] if alive[u]]
+    removed = set(order[:best_removed])
     return PeelingTrace(
         order=tuple(order),
         densities=tuple(densities),
-        best_subset=best_subset,
+        best_subset=tuple(v for v in range(G.n) if v not in removed),
         best_value=float(best_value),
     )
 

@@ -169,6 +169,7 @@ class TestRunDssr:
             subset, diag = run_dssr(G, oracle, T)
             trace = peeling_trace(G, w)
             assert tuple(diag.removal_order) == trace.order
+            assert diag.fhat_trace == list(trace.densities[:-1])
             assert subset == trace.best_subset
             assert density(G, w, subset) == pytest.approx(trace.best_value, abs=1e-9)
 

@@ -113,6 +113,9 @@ class TestConfigFile:
         path.write_text("# only a comment\n")
         with pytest.raises(ConfigError, match="at least algorithm and graph"):
             config_from_file(path)
+        path.write_text("algorithm=dssr\nbudget=60\nbudget=70\n")
+        with pytest.raises(ConfigError, match="run.cfg:3: budget is set twice"):
+            config_from_file(path)
 
     def test_comments_and_blanks_ignored(self, tmp_path, lollipop_files):
         g, w = lollipop_files
@@ -136,14 +139,20 @@ class TestValidate:
             (dict(weights=None), "weight file is required"),
             (dict(weights="/nonexistent/w.txt"), "weight file not found"),
             (dict(seeds=()), "at least one seed"),
+            (dict(seeds=(1, 1)), "seed 1 is repeated"),
             (dict(k=2), "k must exceed 2"),
             (dict(budget=0), "budget must be positive"),
             (dict(max_iters=0), "max-iters must be positive"),
             (dict(epsilon=0.0), "epsilon must be positive"),
+            (dict(epsilon=float("nan")), "epsilon must be finite"),
+            (dict(epsilon=float("inf")), "epsilon must be finite"),
             (dict(delta=0.0), "delta must lie"),
             (dict(delta=1.0), "delta must lie"),
             (dict(lam=0.0), "lambda must be positive"),
+            (dict(lam=float("nan")), "lambda must be finite"),
             (dict(R=-1.0), "R must be nonnegative"),
+            (dict(R=float("nan")), "R must be finite"),
+            (dict(L=-1.0), "L must be nonnegative"),
             (dict(R=0.0), "needs R > 0"),
             (dict(stop_mode="optimistic"), "unknown stop-mode"),
             (dict(gamma=1.0), "gamma must lie"),
@@ -329,6 +338,10 @@ class TestCli:
                      "--weights", str(wfile)]) == 0
         out = capsys.readouterr().out
         assert "subset (" in out and "density:" in out and "algo=exact" in out
+        nested = tmp_path / "new" / "w.txt"  # a missing directory is created
+        assert main(["gen-weights", "--graph", data_path("karate.txt"),
+                     "--seed", "0", "--out", str(nested)]) == 0
+        assert nested.read_text() == wfile.read_text()
 
     def test_brute_and_g_oracle_tie_rules_on_lollipop(self, lollipop_files, capsys):
         # uniform weights tie the triangle with the full set at density 3:
@@ -407,6 +420,8 @@ class TestCli:
         assert main(["dssr", "--graph", g, "--weights", w, "--budget", "0"]) == 1
         assert main(["dssr", "--graph", g, "--weights", w, "--seeds", "a"]) == 1
         assert "bad seed list 'a'" in capsys.readouterr().err
+        assert main(["dssr", "--graph", g, "--weights", w, "--seeds", "1,1"]) == 1
+        assert "seed 1 is repeated" in capsys.readouterr().err
         cfg = tmp_path / "run.cfg"
         for line in ("seeds=x", "budget=1e4"):
             cfg.write_text(f"graph={g}\nweights={w}\n{line}\n")

@@ -4,8 +4,9 @@ import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
-# scripts/seeded_digest.py --quick on the commit before the oracle kept one
-# generator per instance
+# scripts/seeded_digest.py --quick: the first ten lines on the commit before
+# the oracle kept one generator per instance, the offline-solver lines on the
+# commit before peeling_trace re-summed only the changed stars
 QUICK_DIGESTS = """\
 dssr/karate/gaussian-per-edge/seed0 b2fa851701b675289ee7c1b4a18b355034b82bff2db24ad277c654742b202b8f
 dssr/karate/none/seed0 a50181fa5f4bc4e2b88346c9fefc13e85a37c29570d1aee06d4e802d431ff4bd
@@ -17,6 +18,15 @@ dslin-conservative/karate/gaussian-per-edge/seed0 51e4a95659bb4736bc58d8861a3571
 dslin-exact-second-best/karate/gaussian-per-edge/seed0 51e4a95659bb4736bc58d8861a357198cec33524ea498fc125f30d379c959556
 naive/karate/gaussian-per-edge/seed0 c0af627d3040b6b88e88ee2ba527ee3c570189403c356417836c8def3c042d9e
 r-oracle/karate/gaussian-per-edge/seed0 1b73bb29965e6be3dc0946e5c54f9fbf308a6dbe007c3cd433624dbac069abd6
+exact/karate 9291ad55a69a4c4b8cd5fe44c1f221ea25cbfa4f8de9964a83797163cae91d89
+second-best/karate 5afa9cff2ccd42bd8743555c08b4d33ccf86532635b8246b4f56bfbe1ef6201c
+g-oracle/karate 739b2f5b5702a26b274542bad75fc1580dd7f4c3179b98052acc6c1d9d936901
+exact/lesmis 958a07870a2f9148a35ca8bcdd9f60e7b2da3dec826ab1fae130c471ae88e55c
+second-best/lesmis 22dd7315ec2dede1d924d71ed9a006fda16eea03ba2f05ff32214debee85a283
+g-oracle/lesmis e50bff8f27fc8c90ded46601df15dd7a7d0b649fdf0d93d7ab01e248ef2db96c
+exact/polbooks 97c369f209a46520e0f0d7b6c0df1b30d1cc0d0321de8d92583bac49f61969dd
+second-best/polbooks 6bfef8ab0aeb6933ac7ff59479a66ff43174426eb44fae32d426cc05851eb242
+g-oracle/polbooks d6e64d2a7408e9ad9259d5c2dde1f7196973feb00d7c0da7ec4fe2736e1ac693
 """
 
 
