@@ -3,8 +3,9 @@
 
 Each output line is ``name sha256``, one per (algorithm, graph, noise, seed):
 DS-SR on the three bundled graphs with noise ``gaussian-per-edge`` (R = 1)
-and ``none``, DS-Lin on karate at m + 150 rounds in both stop modes, the
-naive baseline at the same budget, and the R-oracle baseline. Weights are
+and ``none``, DS-Lin on karate at m + 150 rounds in both stop modes (with
+the confidence radius and the stop margin of every round), the naive
+baseline at the same budget, and the R-oracle baseline. Weights are
 the knockout weights of seed 0. A digest covers the run's outputs and
 diagnostics and every observation the oracle returned, in order. The
 offline solvers follow, one line each per bundled graph: the exact optimum
@@ -77,7 +78,7 @@ def digest(*parts) -> str:
 
 
 def oracle_part(rec: Recorder):
-    return rec.observations, rec.total_queries, rec.single_edge_queries, sorted(rec.histogram.items())
+    return rec.observations, rec.total_queries, rec.histogram.get(1, 0), sorted(rec.histogram.items())
 
 
 def runs(seeds):
@@ -90,8 +91,9 @@ def runs(seeds):
             for seed in seeds:
                 rec = Recorder(make_oracle(G, w, noise, seed))
                 subset, diag = run_dssr(G, rec, T)
+                # a fresh oracle's histogram holds this run's queries only
                 parts = (subset, diag.removal_order, diag.fhat_trace, diag.phase_rows,
-                         len(subset), sorted(diag.histogram.items()))
+                         len(subset), sorted(rec.histogram.items()))
                 yield f"dssr/{g}/{noise_name}/seed{seed}", digest(parts, oracle_part(rec))
 
     G = load_edge_list(os.path.join(DATA, "karate.txt"))
@@ -103,7 +105,7 @@ def runs(seeds):
         for seed in seeds:
             rec = Recorder(make_oracle(G, w, noise, seed))
             subset, diag = run_dslin(G, family, rec, DSLIN_PARAMS, cap, stop_mode=stop_mode, w_true=w)
-            parts = (subset, diag.iterations, diag.stopped, diag.capped, diag.ct_trace,
+            parts = (subset, diag.iterations, diag.stopped, diag.ct_trace, diag.margin_trace,
                      diag.incumbent_density_trace, diag.est_err_trace, diag.state.counts.tolist())
             yield f"dslin-{stop_mode}/karate/gaussian-per-edge/seed{seed}", digest(parts, oracle_part(rec))
     for seed in seeds:

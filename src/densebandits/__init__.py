@@ -15,7 +15,7 @@ from .dssr import run_dssr
 from .experiments import ExperimentConfig, run_experiment
 from .graph import Graph, load_edge_list, load_weights
 from .oracle import NoiseModel, make_oracle
-from .solvers import brute_force_densest, exact_densest, greedy_peeling, second_best_density
+from .solvers import brute_force_densest, exact_densest, peeling_trace, second_best_density
 
 __version__ = "0.1.0"
 
@@ -27,10 +27,10 @@ __all__ = [
     "brute_force_densest",
     "exact_densest",
     "generate_arm_family",
-    "greedy_peeling",
     "load_edge_list",
     "load_weights",
     "make_oracle",
+    "peeling_trace",
     "run_dslin",
     "run_dssr",
     "run_experiment",

@@ -24,6 +24,7 @@ from .experiments import (
     FIELD_TYPES,
     ConfigError,
     ExperimentConfig,
+    _atomic_write,
     config_from_file,
     config_key,
     knockout_weights,
@@ -169,8 +170,7 @@ def _report(args: argparse.Namespace) -> int:
         )
     print("\n".join(lines))
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        _atomic_write(Path(args.out), "\n".join(lines) + "\n")
     return 0
 
 

@@ -12,12 +12,16 @@ density up to the slack epsilon.
 The confidence radius is
 
     C_t = R' * sqrt(log det A_t - m log(lambda) - 2 log(delta))
-          + sqrt(lambda) * L,     R' = sqrt(deg_max) * R,
+          + sqrt(lambda) * L,     R' = sqrt(max_a |F_a|) * R,
 
-valid because a size-d star query carries d independent noise terms, and the
-rival-side spread is bounded by the box maximum of ||x||_{A^-1} over
-x in [-1, 1]^m (computed exactly by vertex enumeration for small m, and by
-the entrywise-absolute-sum relaxation otherwise).
+the self-normalised bound of Abbasi-Yadkori, Pal and Szepesvari (2011,
+Thm 2): an arm's observation sums the N(0, R^2) noise of the |F_a| edges it
+induces, so it is sqrt(|F_a|) * R-sub-Gaussian, and R' covers the largest
+arm. The incumbent's pessimistic density is read from the unclipped ridge
+estimate, the centre of the ellipsoid, and the rival-side spread is bounded
+by the box maximum of ||x||_{A^-1} over x in [-1, 1]^m (computed exactly by
+vertex enumeration for small m, and by the entrywise-absolute-sum relaxation
+otherwise).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, as_vertex_set, density, induced_edges, max_degree
+from .graph import Graph, as_vertex_set, density, induced_edges
 from .solvers import exact_densest, second_best_density
 
 _EXACT_QP_LIMIT = 22
@@ -95,8 +99,7 @@ class DesignState:
 class DsLinDiagnostics:
     iterations: int = 0
     flow_calls: int = 0  # max-flow runs of the per-round exact solves
-    stopped: bool = False
-    capped: bool = False
+    stopped: bool = False  # False: the run reached max_iters
     ct_trace: list[float] = field(default_factory=list)
     # lhs - rhs of each stop test; the run stops at the first entry >= 0
     margin_trace: list[float] = field(default_factory=list)
@@ -203,7 +206,7 @@ def init_state(G: Graph, family: ArmFamily, params: DsLinParams) -> DesignState:
         G=G,
         params=params,
         L=float(L),
-        Rprime=math.sqrt(max_degree(G)) * params.R,
+        Rprime=math.sqrt(max(len(es) for es in family.edge_sets)) * params.R,
         t=0,
         A_inv=np.eye(m) / params.lam,
         logdetA=m * math.log(params.lam),
@@ -312,15 +315,24 @@ def _stop_sides(
     what: np.ndarray,
     C: float,
     Shat: tuple[int, ...],
+    chi_hat: np.ndarray,
     widthHat: float,
     U: float,
     secondBest: float | None,
 ) -> tuple[float, float]:
-    """Both sides (lhs, rhs) of the stop test at estimate ``what`` and
-    radius ``C``; the test fires when lhs >= rhs."""
+    """Both sides (lhs, rhs) of the stop test at radius ``C``; the test fires
+    when lhs >= rhs.
+
+    The lhs is the incumbent's density under the unclipped ridge estimate
+    A^-1 b (``chi_hat`` is the incumbent's edge indicator), the centre of
+    the confidence ellipsoid: clipping is not a contraction in the A-norm,
+    so a density read from the clipped ``what`` is not covered by C. The
+    rival side reads ``what``: it is entrywise at least A^-1 b, so
+    f_theta(S) <= f_what(S) <= f_what(Shat) for every S.
+    """
     fhat = density(state.G, what, Shat)
     rival = fhat if secondBest is None else float(secondBest)
-    lhs = fhat - C * float(widthHat) / len(Shat)
+    lhs = (float(chi_hat @ (state.A_inv @ state.b)) - C * float(widthHat)) / len(Shat)
     rhs = rival + C * float(U) / 2.0 - state.params.epsilon
     return lhs, rhs
 
@@ -342,7 +354,8 @@ def check_stop(
     """
     Shat = as_vertex_set(state.G, Shat)
     what, C = estimate(state), confidence_radius(state)
-    lhs, rhs = _stop_sides(state, what, C, Shat, widthHat, U, secondBest)
+    chi_hat = _indicator(state.G.m, induced_edges(state.G, Shat))
+    lhs, rhs = _stop_sides(state, what, C, Shat, chi_hat, widthHat, U, secondBest)
     return lhs >= rhs
 
 
@@ -390,7 +403,6 @@ def run_dslin(
         if w_true is not None:
             diag.est_err_trace.append(float(np.abs(w_true - what).sum()) / m)
         if state.t >= max_iters:
-            diag.capped = True
             break
         chi_hat = _indicator(m, induced_edges(G, incumbent))
         width = math.sqrt(max(float(chi_hat @ state.A_inv @ chi_hat), 0.0))
@@ -398,7 +410,7 @@ def run_dslin(
         second = None
         if stop_mode == "exact-second-best" and G.n >= 2:
             second = second_best_density(G, what, incumbent)
-        lhs, rhs = _stop_sides(state, what, C, incumbent, width, U, second)
+        lhs, rhs = _stop_sides(state, what, C, incumbent, chi_hat, width, U, second)
         diag.margin_trace.append(lhs - rhs)
         if lhs >= rhs:
             diag.stopped = True

@@ -32,13 +32,10 @@ from .oracle import SamplingOracle
 
 @dataclass(frozen=True)
 class BudgetSchedule:
-    """Precomputed per-phase sampling quotas for a run of n-1 phases."""
+    """Precomputed per-phase sampling quotas for a run of n-1 phases:
+    ``T_prime[t-1]`` fresh observations for a changed star in phase t and
+    ``tau[t-1]`` top-up observations for an unchanged one."""
 
-    T: int
-    n: int
-    harmonic: float
-    overhead: int
-    T_tilde: tuple[int, ...]
     T_prime: tuple[int, ...]
     tau: tuple[int, ...]
 
@@ -57,16 +54,15 @@ class PeelingState:
 
 @dataclass
 class DssrDiagnostics:
-    """One run's record. The query counts, the histogram and the cumulative
-    columns of ``phase_rows`` (queries and single-edge queries so far) count
-    this run's queries only, even on an oracle that served earlier runs."""
+    """One run's record. ``total_queries`` and the cumulative columns of
+    ``phase_rows`` (queries and single-edge queries so far) count this run's
+    queries only, even on an oracle that served earlier runs; the query-size
+    histogram is the oracle's own."""
 
     removal_order: list[int] = field(default_factory=list)
     fhat_trace: list[float] = field(default_factory=list)
     phase_rows: list[tuple[int, int, float, int, int]] = field(default_factory=list)
     total_queries: int = 0
-    single_edge_queries: int = 0
-    histogram: dict[int, int] = field(default_factory=dict)
 
 
 def build_schedule(T: int, n: int) -> BudgetSchedule:
@@ -81,29 +77,19 @@ def build_schedule(T: int, n: int) -> BudgetSchedule:
         )
     harmonic = sum(1.0 / i for i in range(1, n))
     spend = T - overhead
-    T_tilde: list[int] = []
     T_prime: list[int] = []
     tau: list[int] = []
     prev = 0
     for t in range(1, n):
         tt = math.ceil(spend / (harmonic * (n - t)))
         tp = math.ceil(tt / (2 * (n - t + 1)))
-        T_tilde.append(tt)
         T_prime.append(tp)
         step = tp - prev
         if step < 0:
             raise AssertionError("per-phase quota decreased; schedule is inconsistent")
         tau.append(step)
         prev = tp
-    return BudgetSchedule(
-        T=T,
-        n=n,
-        harmonic=harmonic,
-        overhead=overhead,
-        T_tilde=tuple(T_tilde),
-        T_prime=tuple(T_prime),
-        tau=tuple(tau),
-    )
+    return BudgetSchedule(T_prime=tuple(T_prime), tau=tuple(tau))
 
 
 def _fresh_mean(oracle: SamplingOracle, star: list[int], k: int) -> float:
@@ -177,8 +163,7 @@ def run_dssr(G: Graph, oracle: SamplingOracle, T: int) -> tuple[tuple[int, ...],
     diag = DssrDiagnostics()
     # the oracle's counters may carry earlier runs; report this run's share
     start_total = oracle.total_queries
-    start_single = oracle.single_edge_queries
-    start_hist = dict(oracle.histogram)
+    start_single = oracle.histogram.get(1, 0)
     best_f = -math.inf
     best_set: tuple[int, ...] = tuple(range(G.n))
     for t in range(1, G.n):
@@ -193,7 +178,7 @@ def run_dssr(G: Graph, oracle: SamplingOracle, T: int) -> tuple[tuple[int, ...],
                 int(members.size),
                 fhat,
                 oracle.total_queries - start_total,
-                oracle.single_edge_queries - start_single,
+                oracle.histogram.get(1, 0) - start_single,
             )
         )
         if fhat > best_f:
@@ -207,10 +192,4 @@ def run_dssr(G: Graph, oracle: SamplingOracle, T: int) -> tuple[tuple[int, ...],
     if used > T:
         raise RuntimeError(f"budget violated: issued {used} queries with T={T}")
     diag.total_queries = used
-    diag.single_edge_queries = oracle.single_edge_queries - start_single
-    diag.histogram = {
-        size: count - start_hist.get(size, 0)
-        for size, count in oracle.histogram.items()
-        if count > start_hist.get(size, 0)
-    }
     return best_set, diag

@@ -35,7 +35,7 @@ from .dslin import STOP_MODES, DsLinParams, generate_arm_family, run_dslin
 from .dssr import run_dssr
 from .graph import Graph, density, induced_edges, load_edge_list, load_weights
 from .oracle import NOISE_KINDS, NoiseModel, make_oracle
-from .solvers import brute_force_densest, exact_densest, greedy_peeling
+from .solvers import brute_force_densest, exact_densest, peeling_trace
 
 HISTOGRAM_HEADER = "query_size,count"
 
@@ -341,7 +341,7 @@ ALGORITHMS: dict[str, Algorithm] = {
     # offline solvers see the true weights and make no queries
     "exact": Algorithm(lambda config, G, w, *_: (exact_densest(G, w).subset, 0, None)),
     "brute": Algorithm(lambda config, G, w, *_: (brute_force_densest(G, w).subset, 0, None)),
-    "g-oracle": Algorithm(lambda config, G, w, *_: (greedy_peeling(G, w)[0], 0, None)),
+    "g-oracle": Algorithm(lambda config, G, w, *_: (peeling_trace(G, w).best_subset, 0, None)),
     "dslin": Algorithm(
         _run_dslin,
         ("max_iters", "epsilon", "delta", "lam", "L", "stop_mode", "k", "family_seed"),
@@ -398,7 +398,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[str]
                 opt=opt,
                 out_size=len(subset),
                 total_queries=oracle.total_queries if oracle else 0,
-                single_edge_queries=oracle.single_edge_queries if oracle else 0,
+                single_edge_queries=oracle.histogram.get(1, 0) if oracle else 0,
                 elapsed_ms=(time.perf_counter() - t0) * 1000.0,
                 subset_labels=tuple(G.labels[v] for v in subset),
             )

@@ -223,11 +223,6 @@ def density(G: Graph, w, S: Iterable[int]) -> float:
     return total / len(members)
 
 
-def max_degree(G: Graph) -> int:
-    """Largest unweighted degree over all vertices."""
-    return max((len(a) for a in G.adjacency), default=0)
-
-
 def star_edges(G: Graph, S: Iterable[int], v: int) -> list[int]:
     """Edge indices joining v to other members of S, ascending."""
     members = set(as_vertex_set(G, S))

@@ -45,10 +45,11 @@ class NoiseModel:
 class SamplingOracle:
     """Single-owner mutable sampler with full query accounting.
 
-    ``total_queries`` counts every call, ``single_edge_queries`` those with
-    |F| = 1, and ``histogram`` maps query size to count. The histogram total
-    always equals ``total_queries``. The noise generator is keyed by
-    ``seed`` when the oracle is built.
+    ``total_queries`` counts every call and ``histogram`` maps query size to
+    count, so its total always equals ``total_queries`` and
+    ``histogram.get(1, 0)`` counts the single-edge queries. Every query count
+    the package reports is read from these two. The noise generator is keyed
+    by ``seed`` when the oracle is built.
     """
 
     graph: Graph
@@ -56,7 +57,6 @@ class SamplingOracle:
     noise: NoiseModel
     seed: int
     total_queries: int = 0
-    single_edge_queries: int = 0
     histogram: dict[int, int] = field(default_factory=dict)
     _bitgen: np.random.Philox = field(init=False, repr=False, compare=False)
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
@@ -90,8 +90,6 @@ class SamplingOracle:
             vals = vals + self._noise_for(len(idxs))
         obs = float(vals.sum())
         self.total_queries += 1
-        if len(idxs) == 1:
-            self.single_edge_queries += 1
         self.histogram[len(idxs)] = self.histogram.get(len(idxs), 0) + 1
         return obs
 

@@ -81,8 +81,8 @@ class PeelingTrace:
     """Full record of one greedy peeling run.
 
     order[i] is the vertex removed at step i; densities[i] is the density of
-    the surviving set *before* that removal (so densities[0] covers all of V
-    and the last entry covers a single vertex pair... sizes n, n-1, ..., 2).
+    the surviving set *before* that removal, so densities[0] covers all of V
+    and the n entries cover sizes n, n-1, ..., 1.
     """
 
     order: tuple[int, ...]
@@ -116,6 +116,7 @@ def peeling_trace(G: Graph, w) -> PeelingTrace:
     the earliest (largest) surviving set whose density is strictly greater
     than everything seen before, matching the phase order of the budgeted
     peeling algorithm so the two agree exactly when observations are exact.
+    Its density is at least half the optimum.
     """
     w = as_weight_vector(G, w)
     alive = np.ones(G.n, dtype=bool)
@@ -151,13 +152,6 @@ def peeling_trace(G: Graph, w) -> PeelingTrace:
         best_subset=tuple(v for v in range(G.n) if v not in removed),
         best_value=float(best_value),
     )
-
-
-def greedy_peeling(G: Graph, w) -> tuple[tuple[int, ...], float]:
-    """Peeling heuristic; returns (subset, density). Guarantees at least half
-    of the optimal density."""
-    trace = peeling_trace(G, w)
-    return trace.best_subset, trace.best_value
 
 
 def brute_force_densest(G: Graph, w) -> DensestResult:

@@ -27,7 +27,6 @@ from densebandits.baselines import run_naive
 from densebandits.solvers import (
     brute_force_densest,
     exact_densest,
-    greedy_peeling,
     peeling_trace,
 )
 
@@ -53,7 +52,7 @@ def small_solver_batch():
         w = rng.uniform(0.0, 100.0, size=G.m)
         exact = exact_densest(G, w)
         brute = brute_force_densest(G, w)
-        greedy_val = greedy_peeling(G, w)[1]
+        greedy_val = peeling_trace(G, w).best_value
         out.append((G, w, exact, brute, greedy_val))
     return out, time.perf_counter() - t0
 
@@ -75,7 +74,7 @@ def karate_dssr_batch(karate_knockout):
         oracle = make_oracle(G, w, NoiseModel(kind="gaussian-per-edge", R=1.0), seed)
         subset, diag = run_dssr(G, oracle, 1000)
         rows.append(
-            (density(G, w, subset), diag.total_queries, diag.single_edge_queries)
+            (density(G, w, subset), diag.total_queries, oracle.histogram.get(1, 0))
         )
     return opt, rows, time.perf_counter() - t0
 

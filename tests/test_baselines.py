@@ -138,7 +138,6 @@ class TestROracle:
         assert subset == (0, 1, 2)
         assert np.array_equal(orc.edge_visits(lollipop.m), np.full(4, 11))
         assert orc.total_queries == 44
-        assert orc.single_edge_queries == 44
         assert orc.histogram == {1: 44}
 
     def test_sample_count_formula(self, lollipop):

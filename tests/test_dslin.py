@@ -152,13 +152,15 @@ class TestDesignUpdates:
         )
         assert confidence_radius(state) == pytest.approx(3.1459660262893476, abs=1e-12)
 
-    def test_confidence_radius_scales_with_degree(self, lollipop):
+    def test_confidence_radius_scales_with_largest_arm(self, lollipop):
         fam = generate_arm_family(lollipop, k=3, seed=1)
         state = init_state(lollipop, fam, DsLinParams(lam=1.0, R=2.0, L=0.0, delta=0.1))
-        # max degree 3, so the leading factor is sqrt(3) * 2
-        assert state.Rprime == pytest.approx(math.sqrt(3.0) * 2.0)
+        # the arm (0, 1, 2, 3) induces all 4 edges, so an observation carries
+        # 4 noise terms and the leading factor is sqrt(4) * 2
+        assert max(len(es) for es in fam.edge_sets) == 4
+        assert state.Rprime == 4.0
         assert confidence_radius(state) == pytest.approx(
-            math.sqrt(3.0) * 2.0 * math.sqrt(2.0 * math.log(10.0)), abs=1e-12
+            4.0 * math.sqrt(2.0 * math.log(10.0)), abs=1e-12
         )
 
 
@@ -241,6 +243,22 @@ class TestStopRule:
         update(state, 0, 3.0)
         assert not check_stop(state, (0, 1), math.sqrt(0.5), math.sqrt(0.5), secondBest=6.0)
 
+    def test_lhs_reads_the_unclipped_estimate(self):
+        # path 0-1-2 with one single-edge arm per edge; rewards 10 and r at
+        # lambda = 1 give A^-1 = I/2, A^-1 b = (5, r/2), and width = U = 1
+        # for the incumbent {0, 1, 2}. C = 0.01 * sqrt(2 ln 2 + 2 ln 10) + 0.01.
+        G = Graph.from_edges([(0, 1), (1, 2)], 3)
+        family = ArmFamily(arms=((0, 1), (1, 2)), edge_sets=((0,), (1,)), p=np.array([0.5, 0.5]))
+        params = DsLinParams(epsilon=0.3, delta=0.1, lam=1.0, R=0.01, L=0.01)
+        for reward, fires in ((4.0, True), (-4.0, False)):
+            state = init_state(G, family, params)
+            update(state, 0, 10.0)
+            update(state, 1, reward)
+            # r = -4: the clipped estimate (5, 0) would give lhs 5/3 - C/3 ~ 1.66
+            # against rhs 5/3 + C/2 - 0.3 ~ 1.38, but A^-1 b = (5, -2) gives
+            # lhs 1 - C/3 ~ 0.99, so no stop is certified
+            assert check_stop(state, (0, 1, 2), 1.0, 1.0) == fires
+
 
 class TestRunDsLin:
     def test_cap_below_init_rejected(self, lollipop):
@@ -253,7 +271,7 @@ class TestRunDsLin:
         fam = generate_arm_family(lollipop, k=3, seed=1)
         oracle = make_oracle(lollipop, np.ones(4), seed=0)
         subset, diag = run_dslin(lollipop, fam, oracle, DsLinParams(), max_iters=4)
-        assert diag.capped and not diag.stopped
+        assert not diag.stopped
         assert diag.iterations == 4
         assert len(diag.ct_trace) == 1
         assert oracle.total_queries == 4
@@ -265,7 +283,7 @@ class TestRunDsLin:
         oracle = make_oracle(lollipop, w, noise="none", seed=0)
         params = DsLinParams(epsilon=0.5, delta=0.1, lam=1e-12, R=0.0, L=float(np.linalg.norm(w)))
         subset, diag = run_dslin(lollipop, fam, oracle, params, max_iters=500)
-        assert diag.stopped and not diag.capped
+        assert diag.stopped
         assert diag.iterations == 4  # stop test fires on the first pass
         assert subset == (0, 1, 2)
 
@@ -301,7 +319,7 @@ class TestRunDsLin:
         oracle = make_oracle(lollipop, np.ones(4), seed=0)
         _, diag = run_dslin(lollipop, fam, oracle, DsLinParams(), max_iters=10)
         # the capped final round runs no stop test
-        assert diag.capped
+        assert not diag.stopped
         assert len(diag.margin_trace) == len(diag.ct_trace) - 1 == 6
         assert all(margin < 0.0 for margin in diag.margin_trace)
 

@@ -15,23 +15,22 @@ from densebandits.dssr import (
 )
 from densebandits.experiments import knockout_weights
 from densebandits.oracle import make_oracle
-from densebandits.solvers import greedy_peeling, peeling_trace
+from densebandits.solvers import peeling_trace
 
 from conftest import data_path, random_graph
 
 
 class TestSchedule:
     def test_frozen_small_case(self):
+        # overhead 15, H(3) = 11/6, T_tilde = (16, 24, 47)
         sch = build_schedule(100, 4)
-        assert sch.overhead == 15
-        assert sch.harmonic == pytest.approx(1.0 + 0.5 + 1.0 / 3.0)
-        assert sch.T_tilde == (16, 24, 47)
         assert sch.T_prime == (2, 4, 12)
         assert sch.tau == (2, 2, 8)
 
     def test_karate_overhead(self):
+        with pytest.raises(ValueError, match="minimum feasible T is 631"):
+            build_schedule(630, 34)
         sch = build_schedule(1000, 34)
-        assert sch.overhead == 630
         assert all(tau >= 0 for tau in sch.tau)
         assert len(sch.tau) == 33
 
@@ -40,7 +39,7 @@ class TestSchedule:
             build_schedule(15, 4)
         with pytest.raises(ValueError):
             build_schedule(10, 4)
-        assert build_schedule(16, 4).T == 16
+        assert len(build_schedule(16, 4).tau) == 3
 
     def test_rejects_tiny_graph(self):
         with pytest.raises(ValueError):
@@ -80,9 +79,7 @@ class TestPhaseSampling:
         # observations of value 3.5 into (3*2 + 2*3.5)/5 = 2.6
         w = np.array([1.5, 2.0, 9.0, 9.0])
         state = state_for(lollipop, w)
-        sch = BudgetSchedule(
-            T=0, n=4, harmonic=0.0, overhead=0, T_tilde=(0,), T_prime=(5,), tau=(2,)
-        )
+        sch = BudgetSchedule(T_prime=(5,), tau=(2,))
         state.est[0] = 2.0
         state.counts[0] = 3
         state.alive[3] = False  # star of 0 inside {0,1,2} sums to 1.5+2.0
@@ -94,9 +91,7 @@ class TestPhaseSampling:
 
     def test_zero_quota_keeps_history(self, lollipop):
         state = state_for(lollipop, np.ones(4))
-        sch = BudgetSchedule(
-            T=0, n=4, harmonic=0.0, overhead=0, T_tilde=(0,), T_prime=(5,), tau=(0,)
-        )
+        sch = BudgetSchedule(T_prime=(5,), tau=(0,))
         state.est[1] = 7.0
         state.counts[1] = 2
         sample_phase_vertex(state, sch, 1, 1)
@@ -107,9 +102,7 @@ class TestPhaseSampling:
     def test_neighbor_of_removed_discards_history(self, lollipop):
         w = np.array([1.5, 2.0, 9.0, 9.0])
         state = state_for(lollipop, w)
-        sch = BudgetSchedule(
-            T=0, n=4, harmonic=0.0, overhead=0, T_tilde=(0, 0), T_prime=(2, 3), tau=(2, 1)
-        )
+        sch = BudgetSchedule(T_prime=(2, 3), tau=(2, 1))
         state.est[0] = 100.0
         state.counts[0] = 50
         state.alive[3] = False
@@ -123,9 +116,7 @@ class TestPhaseSampling:
     def test_non_neighbor_keeps_history(self, lollipop):
         w = np.array([1.5, 2.0, 9.0, 9.0])
         state = state_for(lollipop, w)
-        sch = BudgetSchedule(
-            T=0, n=4, harmonic=0.0, overhead=0, T_tilde=(0, 0), T_prime=(2, 3), tau=(2, 1)
-        )
+        sch = BudgetSchedule(T_prime=(2, 3), tau=(2, 1))
         state.est[1] = 10.0
         state.counts[1] = 1
         state.alive[3] = False
@@ -137,9 +128,7 @@ class TestPhaseSampling:
 
     def test_vertex_isolated_by_removal_is_zeroed(self, lollipop):
         state = state_for(lollipop, np.ones(4))
-        sch = BudgetSchedule(
-            T=0, n=4, harmonic=0.0, overhead=0, T_tilde=(0, 0), T_prime=(2, 3), tau=(2, 0)
-        )
+        sch = BudgetSchedule(T_prime=(2, 3), tau=(2, 0))
         state.est[3] = 4.0
         state.counts[3] = 2
         state.alive[0] = False
@@ -180,8 +169,7 @@ class TestRunDssr:
         assert len(diag.fhat_trace) == 33
         assert len(diag.removal_order) == 33
         assert diag.total_queries == oracle.total_queries <= 1000
-        assert sum(diag.histogram.values()) == diag.total_queries
-        assert diag.histogram.get(1, 0) == diag.single_edge_queries
+        assert diag.phase_rows[-1][3:] == (diag.total_queries, oracle.histogram.get(1, 0))
 
     def test_phase_rows_monotone_queries(self, karate):
         oracle = make_oracle(karate, np.ones(karate.m), seed=1)
@@ -193,13 +181,12 @@ class TestRunDssr:
 
     def test_diagnostics_count_this_run_only(self, karate):
         oracle = make_oracle(karate, knockout_weights(karate, seed=0), seed=0)
-        run_dssr(karate, oracle, 1000)
+        _, first = run_dssr(karate, oracle, 1000)
         _, diag = run_dssr(karate, oracle, 1000)
         assert oracle.total_queries == 388
         assert diag.total_queries == 194
-        assert sum(diag.histogram.values()) == 194
-        assert diag.single_edge_queries == diag.histogram.get(1, 0) == 55
         assert diag.phase_rows[-1][3:] == (194, 55)
+        assert oracle.histogram.get(1, 0) == first.phase_rows[-1][4] + 55
 
     def test_edgeless_graph_keeps_everything(self):
         G = Graph.from_edges([(0, 1)], 5)
@@ -231,7 +218,7 @@ class TestSeededRunsPinned:
         h.update(np.asarray(diag.removal_order, dtype=np.int64).tobytes())
         h.update(np.asarray(diag.fhat_trace, dtype=np.float64).tobytes())
         h.update(repr(diag.phase_rows).encode())
-        h.update(repr(sorted(diag.histogram.items())).encode())
+        h.update(repr(sorted(oracle.histogram.items())).encode())
         assert h.hexdigest() == digest
 
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +393,24 @@ class TestCli:
         )
         assert agg.read_text().strip().splitlines() == lines
 
+    def test_interrupted_report_leaves_the_earlier_file(self, tmp_path, lollipop_files, monkeypatch):
+        g, w = lollipop_files
+        out = tmp_path / "res"
+        main(["dssr", "--graph", g, "--weights", w, "--seeds", "0", "--budget", "60",
+              "--noise", "none", "--out", str(out)])
+        summary = tmp_path / "summary.csv"
+        summary.write_text("earlier summary\n")
+        real_write = Path.write_text
+
+        def write_half_then_fail(path, text):
+            real_write(path, text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        assert main(["report", str(out / "results.csv"), "--out", str(summary)]) == 2
+        monkeypatch.undo()
+        assert summary.read_text() == "earlier summary\n"
+
     def test_config_file_with_flag_override(self, tmp_path, lollipop_files):
         g, w = lollipop_files
         cfg = tmp_path / "run.cfg"
@@ -538,12 +557,13 @@ def test_flag_surface_is_pinned():
 
 # SHA-256 over each batch's output files (name and content, in name order),
 # with the elapsed_ms column cut from results.csv; pinned from the
-# hand-dispatched harness the registry replaced
+# hand-dispatched harness the registry replaced, except dslin, whose trace's
+# c_t column was re-recorded when R' became sqrt(max_a |F_a|) * R
 BATCH_DIGESTS = {
     "dssr": (["--seeds", "0:3", "--budget", "1000"],
              "22c010c1716fac59dd1bb5fe27263bfec8d73d3bb6faa29ff36f9c28acfd482e"),
     "dslin": (["--seeds", "0:2", "--k", "10", "--lambda", "100", "--max-iters", "300"],
-              "d42268b6e9be406db45adccf911ad955438ac14a6c9a2ee39ab993c1743f9997"),
+              "42cf380e2d7b4b96e2c71abd59d16432854827fb607580e6a781e14c82271547"),
     "naive": (["--seeds", "0:2", "--k", "10", "--budget", "500"],
               "c5b2472e524a678a32b11e1faa9b76f22145383134918af837ce0f5baa08c8d7"),
     "r-oracle": (["--seeds", "0:2"],

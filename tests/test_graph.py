@@ -13,7 +13,6 @@ from densebandits.graph import (
     induced_edges,
     load_edge_list,
     load_weights,
-    max_degree,
     save_weights,
     star_edges,
 )
@@ -136,7 +135,6 @@ class TestSubsetQueries:
 
     def test_karate_shape(self, karate):
         assert (karate.n, karate.m) == (34, 78)
-        assert max_degree(karate) == 17
 
 
 @st.composite

@@ -149,7 +149,6 @@ class TestCounters:
         oracle.sample_edges([0, 2])
         oracle.sample_edges(star_edges(lollipop, (0, 1, 2, 3), 0))
         assert oracle.total_queries == 4
-        assert oracle.single_edge_queries == 2
         assert oracle.histogram == {1: 2, 2: 1, 3: 1}
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=40))
@@ -163,7 +162,6 @@ class TestCounters:
             F = sorted(int(e) for e in rng.choice(G.m, size=k, replace=False))
             oracle.sample_edges(F)
         assert sum(oracle.histogram.values()) == oracle.total_queries == steps
-        assert oracle.histogram.get(1, 0) == oracle.single_edge_queries
 
 
 class TestNoiseStatistics:

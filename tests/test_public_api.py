@@ -33,10 +33,10 @@ SIGNATURES = {
     "brute_force_densest": [("G", REQUIRED), ("w", REQUIRED)],
     "exact_densest": [("G", REQUIRED), ("w", REQUIRED), ("start", None)],
     "generate_arm_family": [("G", REQUIRED), ("k", REQUIRED), ("seed", REQUIRED)],
-    "greedy_peeling": [("G", REQUIRED), ("w", REQUIRED)],
     "load_edge_list": [("path", REQUIRED)],
     "load_weights": [("path", REQUIRED), ("G", REQUIRED)],
     "make_oracle": [("G", REQUIRED), ("w", REQUIRED), ("noise", "gaussian-per-edge"), ("seed", 0)],
+    "peeling_trace": [("G", REQUIRED), ("w", REQUIRED)],
     "run_dslin": [
         ("G", REQUIRED), ("family", REQUIRED), ("oracle", REQUIRED), ("params", REQUIRED),
         ("max_iters", REQUIRED), ("stop_mode", "conservative"), ("w_true", None),
@@ -54,13 +54,10 @@ SIGNATURES = {
 FIELDS = {
     DensestResult: ["subset", "value", "flow_calls"],
     DsLinDiagnostics: [
-        "iterations", "flow_calls", "stopped", "capped", "ct_trace", "margin_trace",
+        "iterations", "flow_calls", "stopped", "ct_trace", "margin_trace",
         "incumbent_density_trace", "est_err_trace", "state",
     ],
-    DssrDiagnostics: [
-        "removal_order", "fhat_trace", "phase_rows", "total_queries", "single_edge_queries",
-        "histogram",
-    ],
+    DssrDiagnostics: ["removal_order", "fhat_trace", "phase_rows", "total_queries"],
     ArmFamily: ["arms", "edge_sets", "p"],
     RunRecord: [
         "algo", "graph", "seed", "budget", "quality", "opt", "out_size", "total_queries",

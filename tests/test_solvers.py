@@ -11,7 +11,6 @@ from densebandits.graph import Graph, density, induced_edges
 from densebandits.solvers import (
     brute_force_densest,
     exact_densest,
-    greedy_peeling,
     peeling_trace,
     second_best_density,
 )
@@ -116,9 +115,9 @@ class TestBruteForce:
 
 class TestGreedyPeeling:
     def test_star_keeps_everything(self, star4):
-        subset, value = greedy_peeling(star4, np.ones(3))
-        assert subset == (0, 1, 2, 3)
-        assert value == pytest.approx(0.75)
+        trace = peeling_trace(star4, np.ones(3))
+        assert trace.best_subset == (0, 1, 2, 3)
+        assert trace.best_value == pytest.approx(0.75)
 
     def test_trace_shape_and_tie_breaking(self):
         # path 0-1-2: the endpoints tie at degree 1, smallest index removed first
@@ -134,16 +133,15 @@ class TestGreedyPeeling:
         for _ in range(80):
             G = random_graph(rng, int(rng.integers(2, 10)))
             w = rng.uniform(0.0, 50.0, size=G.m)
-            _, gval = greedy_peeling(G, w)
             opt = brute_force_densest(G, w).value
-            assert gval >= 0.5 * opt - 1e-9
+            assert peeling_trace(G, w).best_value >= 0.5 * opt - 1e-9
 
     def test_prefers_earliest_on_ties(self):
         # no edges at all: every prefix has density 0; keep the full set
         G = Graph.from_edges([(0, 1)], 3)
-        subset, value = greedy_peeling(G, np.zeros(1))
-        assert subset == (0, 1, 2)
-        assert value == 0.0
+        trace = peeling_trace(G, np.zeros(1))
+        assert trace.best_subset == (0, 1, 2)
+        assert trace.best_value == 0.0
 
 
 class TestSecondBest:
@@ -193,6 +191,29 @@ def test_exact_at_least_every_subset(seed, n):
     size = int(rng.integers(1, n + 1))
     S = tuple(sorted(int(v) for v in rng.choice(n, size=size, replace=False)))
     assert res.value >= density(G, w, S) - 1e-9
+
+
+@st.composite
+def weighted_graph(draw):
+    """A graph on at most 12 vertices with at least one edge, and
+    nonnegative float weights (zeros and subnormals included)."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, k in zip(pairs, keep) if k] or [pairs[0]]
+    w = draw(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=len(edges), max_size=len(edges)))
+    return Graph.from_edges(edges, n), np.array(w)
+
+
+@given(weighted_graph())
+@settings(max_examples=60, deadline=None)
+def test_reported_density_is_the_unrounded_density_of_the_subset(case):
+    # the solver optimises integer-rounded weights; the value it reports
+    # must still be the returned set's density under the weights given
+    G, w = case
+    res = exact_densest(G, w)
+    assert res.value == density(G, w, res.subset)
+    assert res.value == pytest.approx(brute_force_densest(G, w).value, abs=1e-9)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
