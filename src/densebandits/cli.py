@@ -24,7 +24,6 @@ from .experiments import (
     FIELD_TYPES,
     ConfigError,
     ExperimentConfig,
-    _atomic_write,
     config_from_file,
     config_key,
     knockout_weights,
@@ -32,7 +31,7 @@ from .experiments import (
     read_results,
     run_experiment,
 )
-from .graph import load_edge_list, save_weights
+from .graph import atomic_write, load_edge_list, save_weights
 from .oracle import NOISE_KINDS
 
 
@@ -170,7 +169,7 @@ def _report(args: argparse.Namespace) -> int:
         )
     print("\n".join(lines))
     if args.out:
-        _atomic_write(Path(args.out), "\n".join(lines) + "\n")
+        atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -180,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "gen-weights":
             G = load_edge_list(args.graph)
-            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
             save_weights(args.out, G, knockout_weights(G, args.seed))
             print(f"wrote knockout weights (seed {args.seed}) to {args.out}")
             return 0

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, as_vertex_set, density, induced_edges
+from .graph import Graph, induced_edges
 from .solvers import exact_densest, second_best_density
 
 _EXACT_QP_LIMIT = 22
@@ -67,6 +67,9 @@ class DsLinParams:
     L: float | None = None
 
     def __post_init__(self):
+        values = (self.epsilon, self.delta, self.lam, self.R, 0.0 if self.L is None else self.L)
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError(f"parameters must be finite, got {self}")
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be > 0")
         if not (0 < self.delta <= 1):
@@ -126,38 +129,6 @@ def _extend_basis(basis: list[np.ndarray], v: np.ndarray) -> bool:
         return False
     basis.append(r / nrm)
     return True
-
-
-def make_arm_family(G: Graph, arms, p=None, k: int = 3) -> ArmFamily:
-    """Validate and cache an arm family over G.
-
-    Raises if any arm is smaller than k or induces no edges, if p is not a
-    probability vector, or if the indicators do not span R^m.
-    """
-    if k <= 2:
-        raise ValueError("minimum queryable size k must exceed 2")
-    norm_arms = tuple(as_vertex_set(G, a) for a in arms)
-    if not norm_arms:
-        raise ValueError("arm family is empty")
-    edge_sets = []
-    for a in norm_arms:
-        if len(a) < k:
-            raise ValueError(f"arm {a} smaller than k={k}")
-        es = tuple(induced_edges(G, a))
-        if not es:
-            raise ValueError(f"arm {a} induces no edges and cannot be sampled")
-        edge_sets.append(es)
-    if p is None:
-        p = np.full(len(norm_arms), 1.0 / len(norm_arms))
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (len(norm_arms),) or np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
-        raise ValueError("allocation p must be a probability vector over the arms")
-    basis: list[np.ndarray] = []
-    for es in edge_sets:
-        _extend_basis(basis, _indicator(G.m, es))
-    if len(basis) != G.m:
-        raise ValueError("arm indicators do not span all edge coordinates")
-    return ArmFamily(arms=norm_arms, edge_sets=tuple(edge_sets), p=p)
 
 
 def generate_arm_family(G: Graph, k: int, seed: int) -> ArmFamily:
@@ -310,53 +281,31 @@ def qp_upper_bound(A_inv: np.ndarray, exact_limit: int = _EXACT_QP_LIMIT) -> tup
     return _box_qp_bound(Q, exact_limit)
 
 
-def _stop_sides(
-    state: DesignState,
-    what: np.ndarray,
-    C: float,
-    Shat: tuple[int, ...],
-    chi_hat: np.ndarray,
-    widthHat: float,
-    U: float,
-    secondBest: float | None,
-) -> tuple[float, float]:
-    """Both sides (lhs, rhs) of the stop test at radius ``C``; the test fires
-    when lhs >= rhs.
-
-    The lhs is the incumbent's density under the unclipped ridge estimate
-    A^-1 b (``chi_hat`` is the incumbent's edge indicator), the centre of
-    the confidence ellipsoid: clipping is not a contraction in the A-norm,
-    so a density read from the clipped ``what`` is not covered by C. The
-    rival side reads ``what``: it is entrywise at least A^-1 b, so
-    f_theta(S) <= f_what(S) <= f_what(Shat) for every S.
-    """
-    fhat = density(state.G, what, Shat)
-    rival = fhat if secondBest is None else float(secondBest)
-    lhs = (float(chi_hat @ (state.A_inv @ state.b)) - C * float(widthHat)) / len(Shat)
-    rhs = rival + C * float(U) / 2.0 - state.params.epsilon
-    return lhs, rhs
-
-
 def check_stop(
     state: DesignState,
-    Shat,
-    widthHat: float,
+    C: float,
+    size: int,
+    chi_hat: np.ndarray,
+    width: float,
     U: float,
-    secondBest: float | None = None,
-) -> bool:
-    """Ellipsoidal stopping test for the incumbent Shat.
+    rival: float,
+) -> float:
+    """Margin lhs - rhs of the ellipsoidal stop test at radius ``C``; the
+    run stops once it is >= 0.
 
-    Fires when the incumbent's pessimistic density stays at least
-    (rival optimistic density - epsilon), where the rival side is
-    ``secondBest`` (the exact second-best under the estimate when supplied,
-    else the conservative stand-in: the incumbent's own estimated density)
-    plus C_t * U / 2.
+    The lhs is the incumbent's pessimistic density: its edge indicator
+    ``chi_hat`` read against the unclipped ridge estimate A^-1 b, the centre
+    of the confidence ellipsoid, less C * width, over its ``size`` vertices.
+    Clipping is not a contraction in the A-norm, so a density read from the
+    clipped estimate is not covered by C. The rhs is ``rival`` + C * U / 2 -
+    epsilon, where ``rival`` is the exact second-best density under the
+    clipped estimate or, conservatively, the incumbent's own: the clipped
+    estimate is entrywise at least A^-1 b, so f_theta(S) <= f_clip(S) <=
+    f_clip(Shat) for every S.
     """
-    Shat = as_vertex_set(state.G, Shat)
-    what, C = estimate(state), confidence_radius(state)
-    chi_hat = _indicator(state.G.m, induced_edges(state.G, Shat))
-    lhs, rhs = _stop_sides(state, what, C, Shat, chi_hat, widthHat, U, secondBest)
-    return lhs >= rhs
+    lhs = (float(chi_hat @ (state.A_inv @ state.b)) - C * width) / size
+    rhs = rival + C * U / 2.0 - state.params.epsilon
+    return lhs - rhs
 
 
 def run_dslin(
@@ -407,12 +356,12 @@ def run_dslin(
         chi_hat = _indicator(m, induced_edges(G, incumbent))
         width = math.sqrt(max(float(chi_hat @ state.A_inv @ chi_hat), 0.0))
         U, _ = _box_qp_bound(state.A_inv)
-        second = None
+        rival = res.value
         if stop_mode == "exact-second-best" and G.n >= 2:
-            second = second_best_density(G, what, incumbent)
-        lhs, rhs = _stop_sides(state, what, C, incumbent, chi_hat, width, U, second)
-        diag.margin_trace.append(lhs - rhs)
-        if lhs >= rhs:
+            rival = second_best_density(G, what, incumbent)
+        margin = check_stop(state, C, len(incumbent), chi_hat, width, U, rival)
+        diag.margin_trace.append(margin)
+        if margin >= 0.0:
             diag.stopped = True
             break
         arm = select_arm(state, family)

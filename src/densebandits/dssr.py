@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, star_edges
 from .oracle import SamplingOracle
 
 
@@ -116,14 +116,12 @@ def sample_phase_vertex(state: PeelingState, schedule: BudgetSchedule, t: int, v
     """
     if not state.alive[v]:
         raise ValueError(f"vertex {v} was already removed")
-    adjacency = state.G.adjacency[v]
     changed = state.last_removed is not None and any(
-        u == state.last_removed for u, _ in adjacency
+        u == state.last_removed for u, _ in state.G.adjacency[v]
     )
     if not changed and schedule.tau[t - 1] == 0:
         return
-    alive = state.alive
-    star = sorted(idx for u, idx in adjacency if alive[u])
+    star = star_edges(state.G, state.alive, v)
     if not star:
         state.est[v] = 0.0
         state.counts[v] = 0

@@ -33,7 +33,7 @@ import numpy as np
 from .baselines import run_naive, run_r_oracle
 from .dslin import STOP_MODES, DsLinParams, generate_arm_family, run_dslin
 from .dssr import run_dssr
-from .graph import Graph, density, induced_edges, load_edge_list, load_weights
+from .graph import Graph, atomic_write, density, induced_edges, load_edge_list, load_weights
 from .oracle import NOISE_KINDS, NoiseModel, make_oracle
 from .solvers import brute_force_densest, exact_densest, peeling_trace
 
@@ -214,13 +214,6 @@ def _cells(record: RunRecord, columns) -> list[str]:
     return [repr(float(x)) if kind is float else str(x) for kind, x in values]
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
 def write_results(path: str | Path, records: list[RunRecord]) -> None:
     """Emit the results CSV: one row per record plus mean/std rows."""
     lines = [RESULTS_HEADER]
@@ -233,7 +226,7 @@ def write_results(path: str | Path, records: list[RunRecord]) -> None:
         )
         for label, stat in (("mean", numeric.mean(axis=0)), ("std", numeric.std(axis=0))):
             lines.append(",".join(keys + [label] + [repr(float(x)) for x in stat]))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_results(path: str | Path) -> list[RunRecord]:
@@ -255,7 +248,7 @@ def read_results(path: str | Path) -> list[RunRecord]:
 def write_histogram(path: str | Path, histogram: dict[int, int]) -> None:
     lines = [HISTOGRAM_HEADER]
     lines.extend(f"{size},{count}" for size, count in sorted(histogram.items()))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def knockout_weights(G: Graph, seed: int) -> np.ndarray:
@@ -386,7 +379,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[str]
             oracle = make_oracle(G, w, noise, seed) if algo.oracle else None
             subset, budget, trace = algo.run(config, G, w, family, oracle)
             if prefix and trace is not None:
-                _atomic_write(Path(f"{prefix}_trace.csv"), "\n".join(trace) + "\n")
+                atomic_write(f"{prefix}_trace.csv", "\n".join(trace) + "\n")
             if prefix and oracle:
                 write_histogram(f"{prefix}_hist.csv", oracle.histogram)
             record = RunRecord(
@@ -414,5 +407,5 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[str]
     if out_dir is not None:
         write_results(out_dir / "results.csv", records)
         if errors:
-            _atomic_write(out_dir / "errors.log", "\n".join(errors) + "\n")
+            atomic_write(out_dir / "errors.log", "\n".join(errors) + "\n")
     return records, errors

@@ -30,7 +30,8 @@ class Graph:
     m : number of edges.
     edges : tuple of (u, v) pairs, u < v, in insertion order; the position of
         a pair is its edge index.
-    adjacency : per-vertex tuple of (neighbor, edge_index) pairs.
+    adjacency : per-vertex tuple of (neighbor, edge_index) pairs, in
+        ascending edge-index order.
     labels : original vertex identifiers, one per index.
     self_loops_dropped, duplicates_dropped : counts recorded while building
         (nonzero only for inputs that contained such lines).
@@ -181,15 +182,26 @@ def load_weights(path: str | Path, G: Graph) -> np.ndarray:
     return as_weight_vector(G, w)
 
 
+def atomic_write(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a sibling ``.tmp`` file renamed over
+    it, creating missing parent directories. A failed write leaves the
+    target as it was and removes the temporary file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        tmp.write_text(text)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_weights(path: str | Path, G: Graph, w) -> None:
     """Write a weight file (one ``u v w`` line per edge, original labels)."""
     w = as_weight_vector(G, w)
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w") as fh:
-        for idx, (u, v) in enumerate(G.edges):
-            fh.write(f"{G.labels[u]} {G.labels[v]} {float(w[idx])!r}\n")
-    tmp.replace(path)
+    lines = (f"{G.labels[u]} {G.labels[v]} {float(w[idx])!r}\n" for idx, (u, v) in enumerate(G.edges))
+    atomic_write(path, "".join(lines))
 
 
 def as_vertex_set(G: Graph, S: Iterable[int]) -> tuple[int, ...]:
@@ -223,9 +235,9 @@ def density(G: Graph, w, S: Iterable[int]) -> float:
     return total / len(members)
 
 
-def star_edges(G: Graph, S: Iterable[int], v: int) -> list[int]:
-    """Edge indices joining v to other members of S, ascending."""
-    members = set(as_vertex_set(G, S))
-    if v not in members:
-        raise ValueError(f"vertex {v} not in S")
-    return sorted(idx for u, idx in G.adjacency[v] if u in members)
+def star_edges(G: Graph, alive, v: int) -> list[int]:
+    """Edge indices joining v to the other vertices set in the boolean mask
+    ``alive``, ascending (the order of ``G.adjacency[v]``)."""
+    if not alive[v]:
+        raise ValueError(f"vertex {v} is not alive")
+    return [idx for u, idx in G.adjacency[v] if alive[u]]

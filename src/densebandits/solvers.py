@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, as_vertex_set, as_weight_vector, density
+from .graph import Graph, as_vertex_set, as_weight_vector, density, star_edges
 
 _SCALE_CAP = 2**42
 _FLOW_HEADROOM = 2**61
@@ -127,12 +127,12 @@ def peeling_trace(G: Graph, w) -> PeelingTrace:
     degs = np.zeros(G.n)
     changed = range(G.n)
     for size in range(G.n, 0, -1):
-        # star sums, ascending edge index, of the vertices whose star the last
-        # removal changed: this is the same float expression the sampling
-        # oracle evaluates, so the noise-free budgeted peel reproduces these
-        # values bit for bit
+        # star sums of the vertices whose star the last removal changed: the
+        # budgeted peel queries the same star_edges lists and the sampling
+        # oracle sums them the same way, so the noise-free budgeted peel
+        # reproduces these values bit for bit
         for v in changed:
-            idxs = sorted(idx for u, idx in G.adjacency[v] if alive[u])
+            idxs = star_edges(G, alive, v)
             degs[v] = float(w[idxs].sum()) if idxs else 0.0
         members = np.flatnonzero(alive)
         f = 0.5 * float(degs[members].sum()) / size

@@ -75,3 +75,10 @@ def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:
     if not edges:
         edges = [pairs[int(rng.integers(len(pairs)))]]
     return Graph.from_edges(edges, n)
+
+
+def alive_mask(n: int, S) -> np.ndarray:
+    """Boolean survivor mask over n vertices with the members of S set."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(S)] = True
+    return mask

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densebandits import dslin
-from densebandits.graph import Graph, induced_edges, load_edge_list
+from densebandits.graph import Graph, density, induced_edges, load_edge_list
 from densebandits.dslin import (
     ArmFamily,
     DsLinParams,
@@ -18,7 +18,6 @@ from densebandits.dslin import (
     estimate,
     generate_arm_family,
     init_state,
-    make_arm_family,
     qp_upper_bound,
     run_dslin,
     select_arm,
@@ -31,12 +30,20 @@ from conftest import data_path, random_graph
 
 
 def scalar_state(lam=1.0, R=1.0, L=1.0, delta=0.1):
-    """m=1 design on a single-edge graph; the family bypasses validation
-    (a legitimate family needs arms of at least 3 vertices)."""
+    """m=1 design on a single-edge graph; the family is built directly
+    (a generated family needs arms of at least 3 vertices)."""
     G = Graph.from_edges([(0, 1)], 2)
     family = ArmFamily(arms=((0, 1),), edge_sets=((0,),), p=np.array([1.0]))
     params = DsLinParams(epsilon=0.1, delta=delta, lam=lam, R=R, L=L)
     return G, family, init_state(G, family, params)
+
+
+def lollipop_family(p=(0.25, 0.25, 0.25, 0.25)) -> ArmFamily:
+    """Hand-picked spanning family on the lollipop: the induced edge sets
+    {0,1,2}, {0,1,2,3}, {0,3} and {1,3} have rank 4."""
+    arms = ((0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 2, 3))
+    edge_sets = ((0, 1, 2), (0, 1, 2, 3), (0, 3), (1, 3))
+    return ArmFamily(arms=arms, edge_sets=edge_sets, p=np.array(p))
 
 
 class TestParams:
@@ -53,6 +60,10 @@ class TestParams:
             DsLinParams(R=-1.0)
         with pytest.raises(ValueError):
             DsLinParams(L=-1.0)
+        for field in ("epsilon", "delta", "lam", "R", "L"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    DsLinParams(**{field: bad})
         assert DsLinParams(R=0.0).R == 0.0  # noiseless runs are legitimate
 
     def test_default_weight_norm_bound(self, karate):
@@ -61,35 +72,42 @@ class TestParams:
 
 class TestArmFamily:
     def test_requires_k_above_two(self, lollipop):
-        with pytest.raises(ValueError):
-            make_arm_family(lollipop, [(0, 1, 2)], k=2)
+        with pytest.raises(ValueError, match="2 < k"):
+            generate_arm_family(lollipop, k=2, seed=0)
 
-    def test_small_arm_rejected(self, lollipop):
-        with pytest.raises(ValueError, match="smaller than k"):
-            make_arm_family(lollipop, [(0, 1)], k=3)
+    def test_small_arm_rejected(self, lollipop, karate):
+        with pytest.raises(ValueError, match="k <= n"):
+            generate_arm_family(lollipop, k=5, seed=0)
+        fam = generate_arm_family(karate, k=10, seed=0)
+        assert min(len(a) for a in fam.arms) >= 10
 
     def test_edgeless_arm_rejected(self, star4):
-        with pytest.raises(ValueError, match="induces no edges"):
-            make_arm_family(star4, [(1, 2, 3)], k=3)
+        # {1, 2, 3} induces no edge of the star; every kept arm holds the hub
+        fam = generate_arm_family(star4, k=3, seed=0)
+        assert all(fam.edge_sets) and all(0 in a for a in fam.arms)
+        assert fam.edge_sets == tuple(tuple(induced_edges(star4, a)) for a in fam.arms)
 
     def test_bad_allocation_rejected(self, lollipop):
-        arms = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 1, 2, 3)]
-        with pytest.raises(ValueError, match="probability vector"):
-            make_arm_family(lollipop, arms, p=[0.5, 0.5], k=3)
-        with pytest.raises(ValueError, match="probability vector"):
-            make_arm_family(lollipop, arms, p=[0.7, 0.2, 0.2, -0.1], k=3)
+        fam = lollipop_family(p=(0.0, 0.0, 0.0, 0.0))
+        state = init_state(lollipop, fam, DsLinParams())
+        with pytest.raises(ValueError, match="empty support"):
+            select_arm(state, fam)
 
     def test_span_deficit_rejected(self, lollipop):
+        # at k = n the only arm is the whole vertex set, of rank 1 < m
         with pytest.raises(ValueError, match="span"):
-            make_arm_family(lollipop, [(0, 1, 2), (0, 1, 2, 3)], k=3)
+            generate_arm_family(lollipop, k=4, seed=0)
 
     def test_spanning_family_accepted(self, lollipop):
-        # indicators: {0,1},{0,1,2},{1,3},{2,3} edge index sets have rank 4
-        arms = [(0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 2, 3)]
-        fam = make_arm_family(lollipop, arms, k=3)
-        assert fam.arms == ((0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 2, 3))
-        assert fam.edge_sets[1] == (0, 1, 2, 3)
-        assert np.allclose(fam.p, 0.25)
+        # a hand-picked family runs as a generated one does
+        w = np.array([5.0, 5.0, 5.0, 1.0])
+        oracle = make_oracle(lollipop, w, noise="none", seed=0)
+        params = DsLinParams(epsilon=0.5, delta=0.1, lam=1e-12, R=0.0, L=float(np.linalg.norm(w)))
+        fam = lollipop_family()
+        assert fam.edge_sets == tuple(tuple(induced_edges(lollipop, a)) for a in fam.arms)
+        subset, diag = run_dslin(lollipop, fam, oracle, params, max_iters=500)
+        assert diag.stopped and subset == (0, 1, 2)
+        assert diag.state.counts.tolist() == [1, 1, 1, 1]
 
     def test_generation_spans_and_replays(self, lollipop):
         fam1 = generate_arm_family(lollipop, k=3, seed=12)
@@ -171,16 +189,14 @@ class TestSelectArm:
         assert select_arm(state, fam) == 0
 
     def test_count_over_allocation_ratio(self, lollipop):
-        arms = [(0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 2, 3)]
-        fam = make_arm_family(lollipop, arms, p=[0.5, 0.25, 0.125, 0.125], k=3)
+        fam = lollipop_family(p=(0.5, 0.25, 0.125, 0.125))
         state = init_state(lollipop, fam, DsLinParams())
         state.counts[:] = [1, 0, 2, 1]
         # ratios: 2, 0, 16, 8
         assert select_arm(state, fam) == 1
 
     def test_zero_allocation_excluded(self, lollipop):
-        arms = [(0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 2, 3)]
-        fam = make_arm_family(lollipop, arms, p=[0.5, 0.5, 0.0, 0.0], k=3)
+        fam = lollipop_family(p=(0.5, 0.5, 0.0, 0.0))
         state = init_state(lollipop, fam, DsLinParams())
         state.counts[:] = [9, 9, 0, 0]
         assert select_arm(state, fam) == 0  # ties inside the support go low
@@ -226,22 +242,26 @@ class TestStopRule:
         width = math.sqrt(0.5)
         U = math.sqrt(0.5)
         C = math.sqrt(math.log(2.0) + 2.0 * math.log(10.0)) + 1.0
+        assert confidence_radius(state) == pytest.approx(C, abs=1e-12)
         lhs = 0.75 - C * width / 2.0
         rhs = 0.75 + C * U / 2.0 - 0.1
-        assert lhs < rhs
-        assert not check_stop(state, (0, 1), width, U)
+        margin = check_stop(state, C, 2, np.ones(1), width, U, 0.75)
+        assert margin == pytest.approx(lhs - rhs, abs=1e-12)
+        assert margin < 0.0
 
     def test_stop_fires_with_generous_epsilon(self):
         G, family, state = scalar_state()
         state.params = DsLinParams(epsilon=5.0, delta=0.1, lam=1.0, R=1.0, L=1.0)
         update(state, 0, 3.0)
-        assert check_stop(state, (0, 1), math.sqrt(0.5), math.sqrt(0.5))
+        C = confidence_radius(state)
+        assert check_stop(state, C, 2, np.ones(1), math.sqrt(0.5), math.sqrt(0.5), 0.75) >= 0.0
 
     def test_explicit_rival_shifts_threshold(self):
         G, family, state = scalar_state()
         state.params = DsLinParams(epsilon=5.0, delta=0.1, lam=1.0, R=1.0, L=1.0)
         update(state, 0, 3.0)
-        assert not check_stop(state, (0, 1), math.sqrt(0.5), math.sqrt(0.5), secondBest=6.0)
+        C = confidence_radius(state)
+        assert check_stop(state, C, 2, np.ones(1), math.sqrt(0.5), math.sqrt(0.5), 6.0) < 0.0
 
     def test_lhs_reads_the_unclipped_estimate(self):
         # path 0-1-2 with one single-edge arm per edge; rewards 10 and r at
@@ -257,7 +277,11 @@ class TestStopRule:
             # r = -4: the clipped estimate (5, 0) would give lhs 5/3 - C/3 ~ 1.66
             # against rhs 5/3 + C/2 - 0.3 ~ 1.38, but A^-1 b = (5, -2) gives
             # lhs 1 - C/3 ~ 0.99, so no stop is certified
-            assert check_stop(state, (0, 1, 2), 1.0, 1.0) == fires
+            C = confidence_radius(state)
+            rival = density(G, estimate(state), (0, 1, 2))
+            assert rival == pytest.approx((5.0 + max(reward, 0.0) / 2.0) / 3.0)
+            margin = check_stop(state, C, 3, np.ones(2), 1.0, 1.0, rival)
+            assert (margin >= 0.0) == fires
 
 
 class TestRunDsLin:
@@ -368,6 +392,22 @@ class TestWarmStartedRun:
         assert calls == {"estimate": 201, "confidence_radius": 201}
         assert len(diag.margin_trace) == 200
         assert all(margin < 0.0 for margin in diag.margin_trace)
+
+    def test_check_stop_runs_once_per_stop_test(self, setting, monkeypatch):
+        margins, rivals = [], []
+
+        def counted(state, C, size, chi_hat, width, U, rival, _fn=dslin.check_stop):
+            rivals.append(rival)
+            margins.append(_fn(state, C, size, chi_hat, width, U, rival))
+            return margins[-1]
+
+        monkeypatch.setattr(dslin, "check_stop", counted)
+        G = setting[0]
+        _, diag = self.run(setting, G.m + 200)
+        assert len(margins) == len(diag.margin_trace) == 200
+        assert margins == diag.margin_trace
+        # the conservative rival is the incumbent's density under the estimate
+        assert rivals == diag.incumbent_density_trace[:200]
 
     def test_seeded_run_is_pinned(self, setting):
         # recorded before the solver was warm-started; any change to the

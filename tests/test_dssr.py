@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densebandits.graph import Graph, density, load_edge_list
+from densebandits import dssr
+from densebandits.graph import Graph, density, load_edge_list, star_edges
 from densebandits.dssr import (
     BudgetSchedule,
     PeelingState,
@@ -187,6 +188,31 @@ class TestRunDssr:
         assert diag.total_queries == 194
         assert diag.phase_rows[-1][3:] == (194, 55)
         assert oracle.histogram.get(1, 0) == first.phase_rows[-1][4] + 55
+
+    def test_star_edges_called_once_per_built_star(self, monkeypatch):
+        G = load_edge_list(data_path("lesmis.txt"))
+        built = []
+
+        def counted(G, alive, v):
+            built.append(v)
+            return star_edges(G, alive, v)
+
+        monkeypatch.setattr(dssr, "star_edges", counted)
+        T = 10_000
+        _, diag = run_dssr(G, make_oracle(G, knockout_weights(G, seed=0), seed=0), T)
+        # a survivor's star is built when the last removal touched it or the
+        # phase tops unchanged stars up (tau_t > 0)
+        tau = build_schedule(T, G.n).tau
+        alive = np.ones(G.n, dtype=bool)
+        expected, last = [], None
+        for t, evicted in enumerate(diag.removal_order, start=1):
+            for v in np.flatnonzero(alive):
+                touched = last is not None and any(u == last for u, _ in G.adjacency[v])
+                if touched or tau[t - 1] > 0:
+                    expected.append(int(v))
+            alive[evicted] = False
+            last = evicted
+        assert 0 in tau and built == expected
 
     def test_edgeless_graph_keeps_everything(self):
         G = Graph.from_edges([(0, 1)], 5)

@@ -343,6 +343,9 @@ class TestCli:
         assert main(["gen-weights", "--graph", data_path("karate.txt"),
                      "--seed", "0", "--out", str(nested)]) == 0
         assert nested.read_text() == wfile.read_text()
+        digest = hashlib.sha256(wfile.read_bytes()).hexdigest()
+        assert digest == "b0b5698c459ce549078b6a8a8206bf4ddb4a048780816d988cb822357a146411"
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_brute_and_g_oracle_tie_rules_on_lollipop(self, lollipop_files, capsys):
         # uniform weights tie the triangle with the full set at density 3:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from densebandits.graph import (
     Graph,
     as_vertex_set,
     as_weight_vector,
+    atomic_write,
     density,
     induced_edges,
     load_edge_list,
@@ -17,7 +19,7 @@ from densebandits.graph import (
     star_edges,
 )
 
-from conftest import data_path, random_graph
+from conftest import alive_mask, data_path, random_graph
 
 
 class TestFromEdges:
@@ -68,6 +70,24 @@ class TestEdgeListIO:
         save_weights(str(p), lollipop, w)
         back = load_weights(str(p), lollipop)
         assert np.array_equal(back, w)
+
+    def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch, lollipop):
+        target = tmp_path / "w.txt"
+        target.write_text("old\n")
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(self, text, *args, **kwargs):
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_weights(target, lollipop, np.ones(4))
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(target, "new\n")
+        monkeypatch.undo()
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["w.txt"]
 
     def test_weights_unknown_edge(self, tmp_path, lollipop):
         p = tmp_path / "w.txt"
@@ -127,11 +147,11 @@ class TestSubsetQueries:
         assert density(lollipop, unit, (1, 3)) == 0.0
 
     def test_star_edges(self, lollipop):
-        assert star_edges(lollipop, (0, 1, 2, 3), 0) == [0, 1, 3]
-        assert star_edges(lollipop, (1, 2, 3), 1) == [2]
-        assert star_edges(lollipop, (1, 3), 1) == []
-        with pytest.raises(ValueError):
-            star_edges(lollipop, (0, 1), 3)
+        assert star_edges(lollipop, alive_mask(4, (0, 1, 2, 3)), 0) == [0, 1, 3]
+        assert star_edges(lollipop, alive_mask(4, (1, 2, 3)), 1) == [2]
+        assert star_edges(lollipop, alive_mask(4, (1, 3)), 1) == []
+        with pytest.raises(ValueError, match="not alive"):
+            star_edges(lollipop, alive_mask(4, (0, 1)), 3)
 
     def test_karate_shape(self, karate):
         assert (karate.n, karate.m) == (34, 78)
@@ -154,9 +174,34 @@ def graph_and_subset(draw):
 def test_handshake_identity(case):
     # the sum of member degrees inside S counts each induced edge twice
     G, w, S = case
-    total = math.fsum(float(np.sum(w[star_edges(G, S, v)])) for v in S)
+    alive = alive_mask(G.n, S)
+    total = math.fsum(float(np.sum(w[star_edges(G, alive, v)])) for v in S)
     idxs = induced_edges(G, S)
     assert abs(total - 2.0 * float(np.sum(w[idxs]))) < 1e-9
+
+
+@st.composite
+def raw_pairs_and_mask(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))  # loops and repeats too
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return n, pairs, mask
+
+
+@given(raw_pairs_and_mask())
+@settings(max_examples=100, deadline=None)
+def test_adjacency_ascending_and_star_edges_sorted(case):
+    n, pairs, mask = case
+    G = Graph.from_edges(pairs, n)
+    for v in range(n):
+        idxs = [idx for _, idx in G.adjacency[v]]
+        assert all(a < b for a, b in zip(idxs, idxs[1:]))
+        if mask[v]:
+            assert star_edges(G, mask, v) == sorted(idx for u, idx in G.adjacency[v] if mask[u])
+        else:
+            with pytest.raises(ValueError):
+                star_edges(G, mask, v)
 
 
 @given(graph_and_subset())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from densebandits.graph import Graph, star_edges
 from densebandits.oracle import NoiseModel, SamplingOracle, make_oracle
 
-from conftest import random_graph
+from conftest import alive_mask, random_graph
 
 
 class TestNoiseModel:
@@ -147,7 +147,7 @@ class TestCounters:
         oracle.sample_edges([0])
         oracle.sample_edges([1])
         oracle.sample_edges([0, 2])
-        oracle.sample_edges(star_edges(lollipop, (0, 1, 2, 3), 0))
+        oracle.sample_edges(star_edges(lollipop, alive_mask(4, (0, 1, 2, 3)), 0))
         assert oracle.total_queries == 4
         assert oracle.histogram == {1: 2, 2: 1, 3: 1}
 
