@@ -3,11 +3,11 @@
 The total query budget T is split across n-1 phases; phase t issues star
 queries (all edges joining a vertex to the current survivors) to refresh
 empirical weighted degrees, then evicts the vertex with the smallest
-estimate. Observations are reused across phases: a vertex untouched by the
-last removal keeps its history and only tops it up with tau_t fresh
-observations, while neighbors of the removed vertex (whose star changed)
-discard history and take a full complement of fresh observations. The
-output is the surviving prefix with the best empirical quality.
+estimate. Observations are reused across phases. An eviction changes the
+stars of the evicted vertex's surviving neighbors only: these discard their
+history and take T_prime(t) fresh observations, while every other survivor
+tops its history up with tau_t. Before phase 1 every star counts as
+changed. The output is the surviving prefix with the best empirical quality.
 
 Budget bookkeeping follows the harmonic schedule
 
@@ -49,7 +49,6 @@ class PeelingState:
     alive: np.ndarray
     est: np.ndarray
     counts: np.ndarray
-    last_removed: int | None = None
 
 
 @dataclass
@@ -102,53 +101,47 @@ def _fresh_mean(oracle: SamplingOracle, star: list[int], k: int) -> float:
     return math.fsum(obs) / k
 
 
-def sample_phase_vertex(state: PeelingState, schedule: BudgetSchedule, t: int, v: int) -> None:
+def sample_phase_vertex(state: PeelingState, schedule: BudgetSchedule, t: int, v: int, changed: bool) -> None:
     """Refresh the degree estimate of surviving vertex v in phase t.
 
-    Three cases: no surviving neighbors (exact zero, no queries); star
-    unchanged since the last removal (tau_t fresh observations merged into
-    the carried estimate by count-weighted average); star changed because v
-    neighbored the removed vertex (history dropped, T_prime(t) fresh
-    observations). Phase 1 has no prior removal, so every vertex takes the
-    merge branch starting from an empty history. An unchanged star with
-    tau_t = 0 returns before the star is built: a vertex left without
-    neighbors was zeroed in the phase its last neighbor went.
+    ``changed`` says whether v's star changed since v was last sampled. A
+    changed star drops its history and draws T_prime(t) fresh observations,
+    an unchanged one draws tau_t; both merge into the carried estimate by
+    count-weighted average. A vertex with no surviving neighbors gets an
+    exact zero without queries. A call with nothing to draw returns before
+    the star is built: a vertex left without neighbors was zeroed in the
+    phase its last neighbor went.
     """
     if not state.alive[v]:
         raise ValueError(f"vertex {v} was already removed")
-    changed = state.last_removed is not None and any(
-        u == state.last_removed for u, _ in state.G.adjacency[v]
-    )
-    if not changed and schedule.tau[t - 1] == 0:
+    k = schedule.T_prime[t - 1] if changed else schedule.tau[t - 1]
+    if k == 0:
         return
     star = star_edges(state.G, state.alive, v)
     if not star:
         state.est[v] = 0.0
         state.counts[v] = 0
         return
-    if changed:
-        k = schedule.T_prime[t - 1]
-        state.est[v] = _fresh_mean(state.oracle, star, k)
-        state.counts[v] = k
+    fresh = _fresh_mean(state.oracle, star, k)
+    c = 0 if changed else int(state.counts[v])
+    if c == 0 or fresh == state.est[v]:
+        # exact: averaging equal values (or an empty history) must not
+        # round, or noise-free ties would resolve against greedy peeling
+        state.est[v] = fresh
     else:
-        k = schedule.tau[t - 1]
-        fresh = _fresh_mean(state.oracle, star, k)
-        c = int(state.counts[v])
-        if c == 0 or fresh == state.est[v]:
-            # exact: averaging equal values (or an empty history) must not
-            # round, or noise-free ties would resolve against greedy peeling
-            state.est[v] = fresh
-        else:
-            state.est[v] = (c * state.est[v] + k * fresh) / (c + k)
-        state.counts[v] = c + k
+        state.est[v] = (c * state.est[v] + k * fresh) / (c + k)
+    state.counts[v] = c + k
 
 
 def run_dssr(G: Graph, oracle: SamplingOracle, T: int) -> tuple[tuple[int, ...], DssrDiagnostics]:
     """Run the full budgeted peel; returns the best empirical prefix.
 
-    Ties: the eviction takes the smallest vertex index among the minimal
-    estimates, and the returned prefix is the earliest (largest) one, so a
-    noise-free run reproduces greedy peeling exactly.
+    Each phase samples every survivor in ascending order; a star counts as
+    changed in phase 1 and when it neighbors the vertex just evicted, the
+    rule by which ``solvers.peeling_trace`` re-sums stars. Ties: the
+    eviction takes the smallest vertex index among the minimal estimates,
+    and the returned prefix is the earliest (largest) one, so a noise-free
+    run reproduces greedy peeling exactly.
     """
     schedule = build_schedule(T, G.n)
     state = PeelingState(
@@ -164,10 +157,11 @@ def run_dssr(G: Graph, oracle: SamplingOracle, T: int) -> tuple[tuple[int, ...],
     start_single = oracle.histogram.get(1, 0)
     best_f = -math.inf
     best_set: tuple[int, ...] = tuple(range(G.n))
+    changed = set(range(G.n))
     for t in range(1, G.n):
         members = np.flatnonzero(state.alive)
-        for v in members:
-            sample_phase_vertex(state, schedule, t, int(v))
+        for v in members.tolist():
+            sample_phase_vertex(state, schedule, t, v, v in changed)
         fhat = 0.5 * float(state.est[members].sum()) / members.size
         diag.fhat_trace.append(fhat)
         diag.phase_rows.append(
@@ -185,7 +179,7 @@ def run_dssr(G: Graph, oracle: SamplingOracle, T: int) -> tuple[tuple[int, ...],
         evict = int(members[np.argmin(state.est[members])])
         diag.removal_order.append(evict)
         state.alive[evict] = False
-        state.last_removed = evict
+        changed = {u for u, _ in G.adjacency[evict] if state.alive[u]}
     used = oracle.total_queries - start_total
     if used > T:
         raise RuntimeError(f"budget violated: issued {used} queries with T={T}")

@@ -9,6 +9,7 @@ and a weight vector is a length-m nonnegative float array aligned with
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -144,7 +145,7 @@ def as_weight_vector(G: Graph, values) -> np.ndarray:
 
 
 def load_weights(path: str | Path, G: Graph) -> np.ndarray:
-    """Read a ``u v w`` weight file covering every edge of G exactly once."""
+    """Read a ``u v w`` weight file giving every edge of G one finite nonnegative weight."""
     path = Path(path)
     label_to_idx = {lab: i for i, lab in enumerate(G.labels)}
     pair_to_edge: dict[tuple[int, int], int] = {}
@@ -174,7 +175,10 @@ def load_weights(path: str | Path, G: Graph) -> np.ndarray:
             try:
                 val = float(toks[2])
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad weight {toks[2]!r}") from None
+                val = math.nan
+            # NaN marks an edge not yet read, so the file may not supply one
+            if not 0.0 <= val < math.inf:
+                raise ValueError(f"{path}:{lineno}: bad weight {toks[2]!r}")
             w[idx] = val
     missing = int(np.isnan(w).sum())
     if missing:

@@ -14,7 +14,7 @@ from densebandits.dssr import (
     run_dssr,
     sample_phase_vertex,
 )
-from densebandits.experiments import knockout_weights
+from densebandits.experiments import default_budget, knockout_weights
 from densebandits.oracle import make_oracle
 from densebandits.solvers import peeling_trace
 
@@ -70,7 +70,7 @@ class TestPhaseSampling:
         sch = build_schedule(50, 3)
         state.est[2] = 9.9
         state.counts[2] = 4
-        sample_phase_vertex(state, sch, 1, 2)
+        sample_phase_vertex(state, sch, 1, 2, True)
         assert state.est[2] == 0.0
         assert state.counts[2] == 0
         assert state.oracle.total_queries == 0
@@ -84,8 +84,7 @@ class TestPhaseSampling:
         state.est[0] = 2.0
         state.counts[0] = 3
         state.alive[3] = False  # star of 0 inside {0,1,2} sums to 1.5+2.0
-        state.last_removed = None
-        sample_phase_vertex(state, sch, 1, 0)
+        sample_phase_vertex(state, sch, 1, 0, False)
         assert state.est[0] == pytest.approx(2.6)
         assert state.counts[0] == 5
         assert state.oracle.total_queries == 2
@@ -95,7 +94,7 @@ class TestPhaseSampling:
         sch = BudgetSchedule(T_prime=(5,), tau=(0,))
         state.est[1] = 7.0
         state.counts[1] = 2
-        sample_phase_vertex(state, sch, 1, 1)
+        sample_phase_vertex(state, sch, 1, 1, False)
         assert state.est[1] == 7.0
         assert state.counts[1] == 2
         assert state.oracle.total_queries == 0
@@ -106,9 +105,8 @@ class TestPhaseSampling:
         sch = BudgetSchedule(T_prime=(2, 3), tau=(2, 1))
         state.est[0] = 100.0
         state.counts[0] = 50
-        state.alive[3] = False
-        state.last_removed = 3  # vertex 3 neighbors 0 in the lollipop
-        sample_phase_vertex(state, sch, 2, 0)
+        state.alive[3] = False  # vertex 3 neighbors 0 in the lollipop
+        sample_phase_vertex(state, sch, 2, 0, True)
         # fresh restart with T_prime[1]=3 noiseless star observations of 3.5
         assert state.est[0] == pytest.approx(3.5)
         assert state.counts[0] == 3
@@ -120,10 +118,9 @@ class TestPhaseSampling:
         sch = BudgetSchedule(T_prime=(2, 3), tau=(2, 1))
         state.est[1] = 10.0
         state.counts[1] = 1
-        state.alive[3] = False
-        state.last_removed = 3  # 3 does not neighbor 1
-        sample_phase_vertex(state, sch, 2, 1)
-        # merge branch: (1*10 + 1*obs)/2 with obs = w[0]+w[2] = 10.5
+        state.alive[3] = False  # 3 does not neighbor 1
+        sample_phase_vertex(state, sch, 2, 1, False)
+        # merge: (1*10 + 1*obs)/2 with obs = w[0]+w[2] = 10.5
         assert state.est[1] == pytest.approx(10.25)
         assert state.counts[1] == 2
 
@@ -132,9 +129,8 @@ class TestPhaseSampling:
         sch = BudgetSchedule(T_prime=(2, 3), tau=(2, 0))
         state.est[3] = 4.0
         state.counts[3] = 2
-        state.alive[0] = False
-        state.last_removed = 0  # the pendant's only neighbor
-        sample_phase_vertex(state, sch, 2, 3)
+        state.alive[0] = False  # the pendant's only neighbor
+        sample_phase_vertex(state, sch, 2, 3, True)
         assert state.est[3] == 0.0
         assert state.counts[3] == 0
         assert state.oracle.total_queries == 0
@@ -144,7 +140,7 @@ class TestPhaseSampling:
         sch = build_schedule(100, 4)
         state.alive[2] = False
         with pytest.raises(ValueError, match="removed"):
-            sample_phase_vertex(state, sch, 1, 2)
+            sample_phase_vertex(state, sch, 1, 2, True)
 
 
 class TestRunDssr:
@@ -162,6 +158,45 @@ class TestRunDssr:
             assert diag.fhat_trace == list(trace.densities[:-1])
             assert subset == trace.best_subset
             assert density(G, w, subset) == pytest.approx(trace.best_value, abs=1e-9)
+
+    @pytest.mark.parametrize("graph", ["karate", "lesmis", "polbooks"])
+    @pytest.mark.parametrize("weight_seed", [0, 1])
+    def test_noiseless_equals_greedy_on_bundled_graphs(self, graph, weight_seed):
+        # the default budgets leave tau_t = 0 in most phases, so most
+        # estimates are carried over, which the small random graphs rarely do
+        G = load_edge_list(data_path(f"{graph}.txt"))
+        w = knockout_weights(G, seed=weight_seed)
+        T = default_budget(G.n)
+        zero_phases = {"karate": 27, "lesmis": 60, "polbooks": 91}[graph]
+        assert build_schedule(T, G.n).tau.count(0) == zero_phases
+        subset, diag = run_dssr(G, make_oracle(G, w, noise="none", seed=0), T)
+        trace = peeling_trace(G, w)
+        assert tuple(diag.removal_order) == trace.order
+        assert diag.fhat_trace == list(trace.densities[:-1])
+        assert subset == trace.best_subset
+
+    def test_changed_stars_are_the_evicted_vertex_neighbors(self, monkeypatch):
+        G = load_edge_list(data_path("lesmis.txt"))
+        calls = []
+
+        def recorded(state, schedule, t, v, changed):
+            calls.append((t, v, changed))
+            return sample_phase_vertex(state, schedule, t, v, changed)
+
+        monkeypatch.setattr(dssr, "sample_phase_vertex", recorded)
+        _, diag = run_dssr(G, make_oracle(G, knockout_weights(G, seed=0), seed=0), 10_000)
+        # one call per survivor per phase, ascending; changed in phase 1 and
+        # for the survivors adjacent to the previous phase's evicted vertex
+        alive = np.ones(G.n, dtype=bool)
+        expected, last = [], None
+        for t, evicted in enumerate(diag.removal_order, start=1):
+            for v in np.flatnonzero(alive).tolist():
+                touched = last is None or any(u == last for u, _ in G.adjacency[v])
+                expected.append((t, v, touched))
+            alive[evicted] = False
+            last = evicted
+        assert calls == expected
+        assert any(not changed for _, _, changed in calls)
 
     def test_diagnostics_shape(self, karate):
         w = np.ones(karate.m)

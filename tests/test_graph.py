@@ -98,13 +98,29 @@ class TestEdgeListIO:
     def test_weights_duplicate_line(self, tmp_path, lollipop):
         p = tmp_path / "w.txt"
         p.write_text("0 1 5.0\n1 0 6.0\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate weight for edge"):
             load_weights(str(p), lollipop)
 
     def test_weights_missing_edge(self, tmp_path, lollipop):
         p = tmp_path / "w.txt"
         p.write_text("0 1 5.0\n0 2 1.0\n1 2 1.0\n")
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError, match="edges have no weight"):
+            load_weights(str(p), lollipop)
+
+    @pytest.mark.parametrize(
+        "text,line,token",
+        [
+            ("0 1 nan\n0 1 2.0\n0 2 1.0\n1 2 1.0\n0 3 1.0\n", 1, "nan"),
+            ("0 1 1.0\n0 2 inf\n1 2 1.0\n0 3 1.0\n", 2, "inf"),
+            ("0 1 1.0\n0 2 1.0\n1 2 1.0\n0 3 -3\n", 4, "-3"),
+        ],
+        ids=["nan-then-duplicate", "inf", "negative"],
+    )
+    def test_weights_non_finite_or_negative_rejected_at_line(self, tmp_path, lollipop, text, line, token):
+        # a NaN must not pass for an unset weight and let a duplicate through
+        p = tmp_path / "w.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"w.txt:{line}: bad weight '{token}'$"):
             load_weights(str(p), lollipop)
 
 
