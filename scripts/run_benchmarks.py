@@ -19,8 +19,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 
 from densebandits.cli import main as cli  # noqa: E402
-from densebandits.experiments import default_budget, parse_seeds  # noqa: E402
-from densebandits.graph import load_edge_list  # noqa: E402
+from densebandits.experiments import parse_seeds  # noqa: E402
 
 GRAPHS = ("karate", "lesmis", "polbooks")
 
@@ -44,16 +43,11 @@ def run(argv: list[str]) -> int:
         if cli(["gen-weights", "--graph", graph, "--seed", str(args.weight_seed),
                 "--out", weights]) != 0:
             return 1
-        budget = default_budget(load_edge_list(graph).n)
-        print(f"== {name}: {n_seeds} seeds at budget {budget}")
-        for algo, extra in (
-            ("dssr", ["--budget", str(budget)]),
-            ("exact", []),
-            ("g-oracle", []),
-        ):
+        print(f"== {name}: {n_seeds} seeds at the default budget")
+        for algo in ("dssr", "exact", "g-oracle"):
             out_dir = os.path.join(args.out, name, algo)
             code = cli([algo, "--graph", graph, "--weights", weights,
-                        "--seeds", seeds, "--out", out_dir] + extra)
+                        "--seeds", seeds, "--out", out_dir])
             if code != 0:
                 return code
             results.append(os.path.join(out_dir, "results.csv"))

@@ -77,8 +77,8 @@ def run_r_oracle(
     """
     if not (0 < gamma < 1):
         raise ValueError("gamma must lie in (0, 1)")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     w = as_weight_vector(G, w_true_hidden)
     m = G.m
     lo = np.maximum(w - 1.0, 0.0)

@@ -57,8 +57,10 @@ class ArmFamily:
 
 @dataclass(frozen=True)
 class DsLinParams:
-    """Hyperparameters: slack epsilon, failure rate delta, ridge lambda,
-    per-edge noise scale R, and the weight-norm bound L."""
+    """Hyperparameters: slack epsilon > 0, failure rate delta in (0, 1),
+    ridge lambda > 0, per-edge noise scale R >= 0, and the weight-norm bound
+    L >= 0 (None: ``default_weight_norm_bound``). Every value must be
+    finite; a refusal names the field as its config key."""
 
     epsilon: float = 0.1
     delta: float = 0.1
@@ -67,19 +69,20 @@ class DsLinParams:
     L: float | None = None
 
     def __post_init__(self):
-        values = (self.epsilon, self.delta, self.lam, self.R, 0.0 if self.L is None else self.L)
-        if not all(math.isfinite(x) for x in values):
-            raise ValueError(f"parameters must be finite, got {self}")
+        named = {"epsilon": self.epsilon, "delta": self.delta, "lambda": self.lam, "R": self.R, "L": self.L}
+        for name, x in named.items():
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x}")
         if not (self.epsilon > 0):
-            raise ValueError("epsilon must be > 0")
-        if not (0 < self.delta <= 1):
-            raise ValueError("delta must lie in (0, 1]")
+            raise ValueError("epsilon must be positive")
+        if not (0 < self.delta < 1):
+            raise ValueError("delta must lie in (0, 1)")
         if not (self.lam > 0):
-            raise ValueError("lambda must be > 0")
+            raise ValueError("lambda must be positive")
         if self.R < 0:
-            raise ValueError("R must be >= 0")
+            raise ValueError("R must be nonnegative")
         if self.L is not None and self.L < 0:
-            raise ValueError("L must be >= 0")
+            raise ValueError("L must be nonnegative")
 
 
 @dataclass
@@ -357,7 +360,7 @@ def run_dslin(
         width = math.sqrt(max(float(chi_hat @ state.A_inv @ chi_hat), 0.0))
         U, _ = _box_qp_bound(state.A_inv)
         rival = res.value
-        if stop_mode == "exact-second-best" and G.n >= 2:
+        if stop_mode == "exact-second-best":
             rival = second_best_density(G, what, incumbent)
         margin = check_stop(state, C, len(incumbent), chi_hat, width, U, rival)
         diag.margin_trace.append(margin)

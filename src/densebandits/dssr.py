@@ -16,7 +16,8 @@ Budget bookkeeping follows the harmonic schedule
     tau(t)     = T_prime(t) - T_prime(t-1),
 
 with overhead = (n+1)(n+2)/2 and H the harmonic sum, which keeps the total
-number of oracle calls at or below T on every run.
+number of oracle calls at or below T on every run. A budget must exceed the
+overhead; ``default_budget`` is the smallest power of ten that does.
 """
 
 from __future__ import annotations
@@ -64,11 +65,22 @@ class DssrDiagnostics:
     total_queries: int = 0
 
 
-def build_schedule(T: int, n: int) -> BudgetSchedule:
-    """Quotas for budget T on n vertices; rejects T at or below the overhead."""
+def _overhead(n: int) -> int:
+    """The schedule overhead (n+1)(n+2)/2, which a budget must exceed."""
     if n < 2:
         raise ValueError("need at least two vertices to run a peeling phase")
-    overhead = (n + 1) * (n + 2) // 2
+    return (n + 1) * (n + 2) // 2
+
+
+def default_budget(n: int) -> int:
+    """Smallest power of ten above the schedule overhead (n+1)(n+2)/2, the
+    budget a batch uses when none is given."""
+    return 10 ** len(str(_overhead(n)))
+
+
+def build_schedule(T: int, n: int) -> BudgetSchedule:
+    """Quotas for budget T on n vertices; rejects T at or below the overhead."""
+    overhead = _overhead(n)
     if T <= overhead:
         raise ValueError(
             f"budget T={T} too small: the schedule needs T > {overhead} "

@@ -20,7 +20,6 @@ raises is skipped and its error returned with the records (and written to
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -32,9 +31,9 @@ import numpy as np
 
 from .baselines import run_naive, run_r_oracle
 from .dslin import STOP_MODES, DsLinParams, generate_arm_family, run_dslin
-from .dssr import run_dssr
+from .dssr import default_budget, run_dssr
 from .graph import Graph, atomic_write, density, induced_edges, load_edge_list, load_weights
-from .oracle import NOISE_KINDS, NoiseModel, make_oracle
+from .oracle import NoiseModel, make_oracle
 from .solvers import brute_force_densest, exact_densest, peeling_trace
 
 HISTOGRAM_HEADER = "query_size,count"
@@ -87,35 +86,23 @@ class ExperimentConfig:
         repeated = [seed for seed, count in Counter(self.seeds).items() if count > 1]
         if repeated:
             raise ConfigError(f"seed {repeated[0]} is repeated")
-        for name, kind in FIELD_TYPES.items():
-            value = getattr(self, name)
-            if kind is float and value is not None and not math.isfinite(value):
-                raise ConfigError(f"{config_key(name)} must be finite, got {value}")
         if self.k <= 2:
             raise ConfigError("k must exceed 2")
         if self.budget is not None and self.budget < 1:
             raise ConfigError("budget must be positive")
         if self.max_iters is not None and self.max_iters < 1:
             raise ConfigError("max-iters must be positive")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        if not (0 < self.delta < 1):
-            raise ConfigError("delta must lie in (0, 1)")
-        if self.lam <= 0:
-            raise ConfigError("lambda must be positive")
-        if self.R < 0:
-            raise ConfigError("R must be nonnegative")
-        if self.L is not None and self.L < 0:
-            raise ConfigError("L must be nonnegative")
-        if self.noise == "gaussian-per-edge" and self.R == 0:
-            raise ConfigError("gaussian noise needs R > 0 (use noise=none for exact sums)")
         if self.stop_mode not in STOP_MODES:
             raise ConfigError(f"unknown stop-mode {self.stop_mode!r}")
         if not (0 < self.gamma < 1):
             raise ConfigError("gamma must lie in (0, 1)")
-        if self.noise not in NOISE_KINDS:
-            raise ConfigError(f"unknown noise kind {self.noise!r}; choose from {NOISE_KINDS}")
-
+        # the noise and DS-Lin ranges are checked by the objects that own them
+        epsilon = DsLinParams.epsilon if self.epsilon is None else self.epsilon
+        try:
+            DsLinParams(epsilon=epsilon, delta=self.delta, lam=self.lam, R=self.R, L=self.L)
+            NoiseModel(kind=self.noise, R=self.R)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 def config_key(name: str) -> str:
     """Config-file key and CLI flag (without dashes) of a config field."""
@@ -268,17 +255,6 @@ def knockout_weights(G: Graph, seed: int) -> np.ndarray:
     return np.where(inside, low, high)
 
 
-def default_budget(n: int) -> int:
-    """Smallest power of ten at or above the schedule overhead (n+1)(n+2)/2."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    overhead = (n + 1) * (n + 2) // 2
-    p = len(str(overhead)) - 1
-    if 10**p < overhead:
-        p += 1
-    return 10**p
-
-
 @dataclass(frozen=True)
 class Algorithm:
     """How a batch runs one algorithm.
@@ -368,7 +344,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[str]
     opt = exact_densest(G, w).value
     out_dir = Path(config.out) if config.out else None
     noise = NoiseModel(kind=config.noise, R=config.R)
-    family = generate_arm_family(G, config.k, config.family_seed) if algo.family else None
+    try:  # a k the graph cannot serve (k > n, or no spanning family)
+        family = generate_arm_family(G, config.k, config.family_seed) if algo.family else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     records: list[RunRecord] = []
     errors: list[str] = []

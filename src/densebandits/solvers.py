@@ -358,7 +358,7 @@ class _CutSolver:
         With ``tie_break`` the canonical maximizer is returned, otherwise the
         union of all maximizers; neither depends on the start.
         """
-        if not any(self.c):
+        if not any(self.c):  # every set has density 0; no max-flow call
             return [self.force if self.force is not None else 0]
         start = set(_greedy_start(self.G, np.asarray(self.c, dtype=np.float64)) if start is None else start)
         if self.force is not None:
@@ -482,8 +482,7 @@ def _greedy_start(G: Graph, w: np.ndarray) -> list[int]:
 
 
 def _rounded(G: Graph, w: np.ndarray) -> np.ndarray:
-    K = _integer_scale(G, w) if np.any(w > 0) else 1
-    return np.rint(w * K).astype(np.int64)
+    return np.rint(w * _integer_scale(G, w)).astype(np.int64)
 
 
 def exact_densest(G: Graph, w, start=None) -> DensestResult:
@@ -503,8 +502,6 @@ def exact_densest(G: Graph, w, start=None) -> DensestResult:
         start = as_vertex_set(G, start)
         if not start:
             raise ValueError("start set must be nonempty")
-    if not np.any(w > 0):
-        return DensestResult(subset=(0,), value=0.0)
     solver = _CutSolver(G, _rounded(G, w))
     subset = tuple(solver.solve(start, tie_break=True))
     return DensestResult(subset=subset, value=density(G, w, subset), flow_calls=solver.flow_calls)

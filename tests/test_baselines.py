@@ -121,6 +121,14 @@ class TestROracle:
         with pytest.raises(ValueError, match="eps"):
             run_r_oracle(lollipop, np.ones(4), orc, eps=0.0)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_rejects_non_finite_eps_before_any_query(self, lollipop, eps):
+        # inf would make every t_e zero and nan would fail inside ceil
+        orc = make_oracle(lollipop, 3.0 * np.ones(4), NoiseModel(kind="none"), seed=0)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            run_r_oracle(lollipop, 3.0 * np.ones(4), orc, eps=eps)
+        assert orc.total_queries == 0
+
     def test_weights_at_most_one_give_degenerate_intervals(self, lollipop):
         # l_e = max(w_e - 1, 0) = 0 for every edge, so the lower-bound
         # optimum is 0 and the sample count is undefined

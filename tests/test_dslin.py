@@ -52,6 +52,8 @@ class TestParams:
             DsLinParams(epsilon=0.0)
         with pytest.raises(ValueError):
             DsLinParams(delta=0.0)
+        with pytest.raises(ValueError, match="delta must lie in"):
+            DsLinParams(delta=1.0)
         with pytest.raises(ValueError):
             DsLinParams(delta=1.5)
         with pytest.raises(ValueError):
@@ -60,9 +62,10 @@ class TestParams:
             DsLinParams(R=-1.0)
         with pytest.raises(ValueError):
             DsLinParams(L=-1.0)
-        for field in ("epsilon", "delta", "lam", "R", "L"):
+        keys = {"epsilon": "epsilon", "delta": "delta", "lam": "lambda", "R": "R", "L": "L"}
+        for field, key in keys.items():
             for bad in (math.nan, math.inf, -math.inf):
-                with pytest.raises(ValueError, match="finite"):
+                with pytest.raises(ValueError, match=f"^{key} must be finite, got {bad}$"):
                     DsLinParams(**{field: bad})
         assert DsLinParams(R=0.0).R == 0.0  # noiseless runs are legitimate
 

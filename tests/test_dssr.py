@@ -11,10 +11,11 @@ from densebandits.dssr import (
     BudgetSchedule,
     PeelingState,
     build_schedule,
+    default_budget,
     run_dssr,
     sample_phase_vertex,
 )
-from densebandits.experiments import default_budget, knockout_weights
+from densebandits.experiments import knockout_weights
 from densebandits.oracle import make_oracle
 from densebandits.solvers import peeling_trace
 
@@ -298,3 +299,26 @@ def test_budget_law(seed, n, slack):
     oracle = make_oracle(G, w, seed=seed)
     run_dssr(G, oracle, T)
     assert oracle.total_queries <= T
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=14),
+    st.sampled_from(["small-integer", "all-one", "uniform"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_noiseless_equals_greedy_at_the_default_budget(seed, n, weights):
+    # the default budget is the one a batch runs with when none is given;
+    # small integer and all-one weights make ties common
+    rng = np.random.default_rng(seed)
+    G = random_graph(rng, n, p=float(rng.uniform(0.2, 0.9)))
+    w = {
+        "small-integer": lambda: rng.integers(0, 3, size=G.m).astype(np.float64),
+        "all-one": lambda: np.ones(G.m),
+        "uniform": lambda: rng.uniform(0.0, 10.0, size=G.m),
+    }[weights]()
+    subset, diag = run_dssr(G, make_oracle(G, w, noise="none", seed=0), default_budget(n))
+    trace = peeling_trace(G, w)
+    assert tuple(diag.removal_order) == trace.order
+    assert diag.fhat_trace == list(trace.densities[:-1])
+    assert subset == trace.best_subset

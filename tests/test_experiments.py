@@ -21,6 +21,7 @@ from densebandits.experiments import (
     write_histogram,
     write_results,
 )
+from densebandits.dssr import build_schedule
 from densebandits.graph import density, induced_edges, load_edge_list
 from densebandits.solvers import exact_densest
 
@@ -154,7 +155,7 @@ class TestValidate:
             (dict(R=-1.0), "R must be nonnegative"),
             (dict(R=float("nan")), "R must be finite"),
             (dict(L=-1.0), "L must be nonnegative"),
-            (dict(R=0.0), "needs R > 0"),
+            (dict(R=0.0), "needs finite R > 0"),
             (dict(stop_mode="optimistic"), "unknown stop-mode"),
             (dict(gamma=1.0), "gamma must lie"),
             (dict(noise="poisson"), "unknown noise kind"),
@@ -191,7 +192,7 @@ class TestDefaultBudget:
         assert default_budget(34) == 1000
         assert default_budget(198) == 100000
         assert default_budget(4) == 100
-        assert default_budget(3) == 10
+        assert default_budget(3) == 100  # the overhead is 10, which T must exceed
         assert default_budget(2) == 10
 
     def test_rejects_tiny_n(self):
@@ -199,10 +200,11 @@ class TestDefaultBudget:
             default_budget(1)
 
     def test_always_at_least_overhead(self):
-        for n in range(2, 120):
+        for n in range(2, 301):
             b = default_budget(n)
-            assert b >= (n + 1) * (n + 2) // 2
+            assert b > (n + 1) * (n + 2) // 2
             assert b == 10 ** len(str(b)[1:])
+            build_schedule(b, n)
 
 
 class TestResultsCsv:
@@ -451,6 +453,17 @@ class TestCli:
             assert f"config error: {cfg}:3: bad {line.split('=')[0]} value" in capsys.readouterr().err
         assert main(["dssr", "--config", str(tmp_path / "missing.cfg")]) == 1
         assert "config file not found" in capsys.readouterr().err
+        # the lollipop has 4 vertices, so no arm family has 5-vertex arms
+        assert main(["dslin", "--graph", g, "--weights", w, "--k", "5"]) == 1
+        assert "config error: need 2 < k <= n" in capsys.readouterr().err
+
+    def test_dssr_default_budget_runs_on_a_triangle(self, tmp_path, capsys):
+        # n = 3: the overhead is 10, so the default budget must exceed it
+        g, w = tmp_path / "tri.txt", tmp_path / "tri_w.txt"
+        g.write_text("0 1\n0 2\n1 2\n")
+        w.write_text("0 1 1.0\n0 2 2.0\n1 2 3.0\n")
+        assert main(["dssr", "--graph", str(g), "--weights", str(w), "--seeds", "0:3"]) == 0
+        assert "seeds=3" in capsys.readouterr().out
 
     def test_exit_code_1_on_bad_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
