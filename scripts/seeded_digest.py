@@ -11,7 +11,9 @@ diagnostics and every observation the oracle returned, in order. The
 offline solvers follow, one line each per bundled graph: the exact optimum
 (subset and value; ``flow_calls`` measures cost, not output), the
 second-best density, and the greedy peel (``peeling_trace``'s order,
-densities, best subset and value).
+densities, best subset and value). Last come the DS-Lin arm families of
+lesmis and polbooks at k = 10 and seed 0 (arms and edge sets; karate's is
+covered by its DS-Lin runs).
 
 The package is imported from ``PYTHONPATH`` first and from this checkout's
 ``src/`` otherwise, so comparing two checkouts is
@@ -125,6 +127,10 @@ def runs(seeds):
         yield f"second-best/{g}", digest(second_best_density(G, w, best.subset))
         trace = peeling_trace(G, w)
         yield f"g-oracle/{g}", digest(trace.order, trace.densities, trace.best_subset, trace.best_value)
+
+    for g in GRAPHS[1:]:
+        family = generate_arm_family(load_edge_list(os.path.join(DATA, f"{g}.txt")), k=10, seed=0)
+        yield f"family/{g}", digest(family.arms, family.edge_sets)
 
 
 def main(argv=None) -> int:

@@ -99,6 +99,7 @@ class DesignState:
     b: np.ndarray
     counts: np.ndarray
     chi: np.ndarray
+    support: np.ndarray  # arms with positive allocation, ascending
 
 
 @dataclass
@@ -120,43 +121,47 @@ def _indicator(m: int, edge_idxs) -> np.ndarray:
     return chi
 
 
-def _extend_basis(basis: list[np.ndarray], v: np.ndarray) -> bool:
-    """One incremental Gram-Schmidt step: append v's normalized residual
-    against the orthonormal ``basis`` if its norm exceeds the 1e-8 rank
-    cut, and say whether it did."""
-    r = v.copy()
-    for q in basis:
-        r -= (q @ r) * q
-    nrm = float(np.linalg.norm(r))
-    if nrm <= _RANK_TOL:
-        return False
-    basis.append(r / nrm)
-    return True
-
-
 def generate_arm_family(G: Graph, k: int, seed: int) -> ArmFamily:
     """Random rank-spanning family: sizes uniform on [k, n], members uniform,
     an arm kept only when it raises the span of the stacked indicators.
-    Stops with exactly m arms; errors out after 1000 m + 10^4 attempts."""
+    Stops with exactly m arms; errors out after 1000 m + 10^4 attempts.
+
+    The accepted indicators are kept orthonormalised in the rows of one
+    m x m array. A candidate is projected off them by classical Gram-Schmidt
+    applied twice, which keeps the rows orthonormal to working precision,
+    and kept when its residual norm exceeds the 1e-8 rank cut. Its edges
+    are read from a vertex mask over the edge endpoints, so each edge set
+    is ascending, as ``induced_edges`` gives it."""
     if not (2 < k <= G.n):
         raise ValueError(f"need 2 < k <= n, got k={k}, n={G.n}")
     rng = np.random.default_rng(seed)
     max_attempts = 1000 * G.m + 10000
-    basis: list[np.ndarray] = []
+    eu, ev = np.asarray(G.edges, dtype=np.intp).reshape(-1, 2).T
+    Q = np.empty((G.m, G.m))
     arms: list[tuple[int, ...]] = []
     edge_sets: list[tuple[int, ...]] = []
     for _ in range(max_attempts):
-        if len(arms) == G.m:
+        rank = len(arms)
+        if rank == G.m:
             break
         size = int(rng.integers(k, G.n + 1))
-        members = tuple(sorted(int(v) for v in rng.choice(G.n, size=size, replace=False)))
-        es = induced_edges(G, members)
-        if not es:
+        members = rng.choice(G.n, size=size, replace=False)
+        mask = np.zeros(G.n, dtype=bool)
+        mask[members] = True
+        es = np.flatnonzero(mask[eu] & mask[ev])
+        if not es.size:
             continue
-        if not _extend_basis(basis, _indicator(G.m, es)):
+        r = np.zeros(G.m)
+        r[es] = 1.0
+        B = Q[:rank]
+        r -= B.T @ (B @ r)
+        r -= B.T @ (B @ r)
+        nrm = float(np.linalg.norm(r))
+        if nrm <= _RANK_TOL:
             continue
-        arms.append(members)
-        edge_sets.append(tuple(es))
+        Q[rank] = r / nrm
+        arms.append(tuple(sorted(members.tolist())))
+        edge_sets.append(tuple(es.tolist()))
     if len(arms) != G.m:
         raise ValueError(
             f"could not span all {G.m} edges with random size-[{k},{G.n}] arms "
@@ -187,13 +192,14 @@ def init_state(G: Graph, family: ArmFamily, params: DsLinParams) -> DesignState:
         b=np.zeros(m),
         counts=np.zeros(len(family.arms), dtype=np.int64),
         chi=chi,
+        support=np.flatnonzero(family.p > 0),
     )
 
 
 def select_arm(state: DesignState, family: ArmFamily) -> int:
-    """Index minimizing pull-count / allocation over the support of p;
-    ties go to the lowest index."""
-    support = np.flatnonzero(family.p > 0)
+    """Index minimizing pull-count / allocation over the support of p,
+    taken once per run by ``init_state``; ties go to the lowest index."""
+    support = state.support
     if support.size == 0:
         raise ValueError("allocation has empty support")
     ratios = state.counts[support] / family.p[support]
@@ -347,7 +353,9 @@ def run_dslin(
         # the estimate moves little per round, so the last incumbent is
         # usually still optimal and one max-flow call confirms it
         res = exact_densest(G, what, start=incumbent)
-        incumbent = res.subset
+        if res.subset != incumbent:
+            incumbent = res.subset
+            chi_hat = _indicator(m, induced_edges(G, incumbent))
         diag.flow_calls += res.flow_calls
         C = confidence_radius(state)
         diag.ct_trace.append(C)
@@ -356,7 +364,6 @@ def run_dslin(
             diag.est_err_trace.append(float(np.abs(w_true - what).sum()) / m)
         if state.t >= max_iters:
             break
-        chi_hat = _indicator(m, induced_edges(G, incumbent))
         width = math.sqrt(max(float(chi_hat @ state.A_inv @ chi_hat), 0.0))
         U, _ = _box_qp_bound(state.A_inv)
         rival = res.value

@@ -482,16 +482,22 @@ def _greedy_start(G: Graph, w: np.ndarray) -> list[int]:
 
 
 def _rounded(G: Graph, w: np.ndarray) -> np.ndarray:
-    return np.rint(w * _integer_scale(G, w)).astype(np.int64)
+    # shift by 2^e, the least e >= 0 with max(w) * 2^e >= 1/2, so that small
+    # weights keep as many bits as weights near 1; the shift is exact, and
+    # e = 0 once max(w) >= 1/2
+    e = max(0, -math.frexp(float(w.max(initial=0.0)))[1])
+    shifted = np.ldexp(w, e)
+    return np.rint(shifted * _integer_scale(G, shifted)).astype(np.int64)
 
 
 def exact_densest(G: Graph, w, start=None) -> DensestResult:
     """Globally optimal density subset.
 
     Weights are scaled to integers before solving, with the scale chosen so
-    the densest-value error is far below 1e-9 on graphs of a few thousand
-    vertices. The reported value is the true (unrounded) density of the
-    returned set. All-zero weights give ({0}, 0.0).
+    the densest-value error is far below 1e-9 of the largest weight on
+    graphs of a few thousand vertices, however small the weights are. The
+    reported value is the true (unrounded) density of the returned set.
+    All-zero weights give ({0}, 0.0).
 
     ``start``, a nonempty vertex set, seeds the density iteration in place
     of a greedy peel; a good start (such as the optimum under nearby

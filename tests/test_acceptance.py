@@ -268,6 +268,7 @@ def test_criterion_09_incremental_design_updates_track_dense():
             b=np.zeros(m),
             counts=np.zeros(n_arms, dtype=np.int64),
             chi=chi,
+            support=np.arange(n_arms),
         )
         for _ in range(int(rng.integers(5, 41))):
             update(state, int(rng.integers(n_arms)), float(rng.normal()))

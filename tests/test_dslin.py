@@ -127,6 +127,26 @@ class TestArmFamily:
         with pytest.raises(ValueError, match="span"):
             generate_arm_family(k4, k=3, seed=0)
 
+    # SHA-256 of repr((arms, edge_sets)) at k = 10, recorded on the commit
+    # before the rank test was batched
+    FAMILY_PINS = {
+        ("karate", 0): "fcb365b6de7634587c769a05b0e7f784c87b9135ddaac4afba962f9324eb6b0b",
+        ("karate", 1): "5271a0be7b3dea685212c0cd136d5e7c2ab54e8cb6381c36a44399b4f40ad0a6",
+        ("karate", 2): "5a090ea1b1c0032d0e674390287834ee7911cc3916c774dd2cbe51a029dfc295",
+        ("lesmis", 0): "783e03836f8c709350e03df24d49ee6f1e9052ae2bbe1b4d2e7d78e52a815ded",
+        ("lesmis", 1): "ebec028beae4bba69a44e2f65aba48c6efa9b700c662bdc94c422e0c0ed5536f",
+        ("lesmis", 2): "5d4f376a53690a6e7bd7e438778ad952bea7d0b76b5de30ed30418e8235b3487",
+        ("polbooks", 0): "d93e7f2265d7a123c4847d81d3f9ebbe9fef02c9cfb11457223017018d274bfc",
+        ("polbooks", 1): "fcdb25730d83c805c801a21172b530762a67e5da7dc95e3e35876a8854bb5772",
+        ("polbooks", 2): "a16d6f1173bd725dbe2bfd63edf9dd3bbc1116ccff349882300fe0093ed5b505",
+    }
+
+    @pytest.mark.parametrize("name, seed", list(FAMILY_PINS))
+    def test_bundled_families_are_pinned(self, name, seed):
+        fam = generate_arm_family(load_edge_list(data_path(f"{name}.txt")), k=10, seed=seed)
+        digest = hashlib.sha256(repr((fam.arms, fam.edge_sets)).encode()).hexdigest()
+        assert digest == self.FAMILY_PINS[name, seed]
+
 
 class TestDesignUpdates:
     def test_scalar_ridge_estimate(self):
@@ -423,6 +443,35 @@ class TestWarmStartedRun:
         assert trace[-1] == 70.31029019300732
         digest = hashlib.sha256(trace.tobytes()).hexdigest()
         assert digest == "3ac07e1e4e5e95750395a2cf3b978a7b65e73697677eea70419175fcf64cfdb2"
+
+
+def spans_all_edges(G: Graph, k: int) -> bool:
+    """Whether the induced-edge indicators of all vertex sets of at least
+    k vertices span R^m, by enumeration."""
+    masks = np.array([s for s in range(1 << G.n) if s.bit_count() >= k])
+    chi = np.stack([(masks >> u) & (masks >> v) & 1 for u, v in G.edges], axis=1)
+    return np.linalg.matrix_rank(chi.astype(np.float64)) == G.m
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=4, max_value=10))
+@settings(max_examples=40, deadline=None)
+def test_generated_family_spans_exactly_when_some_family_can(seed, n):
+    rng = np.random.default_rng(seed)
+    G = random_graph(rng, n, p=float(rng.uniform(0.1, 0.9)))
+    k = int(rng.integers(3, max(3, n // 2) + 1))
+    if not spans_all_edges(G, k):
+        with pytest.raises(ValueError, match="could not span"):
+            generate_arm_family(G, k, seed)
+        return
+    fam = generate_arm_family(G, k, seed)
+    chi = np.zeros((len(fam.arms), G.m))
+    for i, es in enumerate(fam.edge_sets):
+        chi[i, list(es)] = 1.0
+    assert len(fam.arms) == G.m
+    assert np.linalg.matrix_rank(chi) == G.m
+    for arm, es in zip(fam.arms, fam.edge_sets):
+        assert len(arm) >= k and list(arm) == sorted(set(arm))
+        assert es == tuple(induced_edges(G, arm))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=3, max_value=12))

@@ -9,7 +9,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 # commit before peeling_trace re-summed only the changed stars; the two
 # dslin lines, which now hash the stop margins too, were re-recorded when
 # R' became sqrt(max_a |F_a|) * R and the stop test's lhs the unclipped
-# ridge estimate (incumbents and queries unchanged)
+# ridge estimate (incumbents and queries unchanged); the two family lines
+# on the commit before the arm family's rank test was batched
 QUICK_DIGESTS = """\
 dssr/karate/gaussian-per-edge/seed0 b2fa851701b675289ee7c1b4a18b355034b82bff2db24ad277c654742b202b8f
 dssr/karate/none/seed0 a50181fa5f4bc4e2b88346c9fefc13e85a37c29570d1aee06d4e802d431ff4bd
@@ -30,6 +31,8 @@ g-oracle/lesmis e50bff8f27fc8c90ded46601df15dd7a7d0b649fdf0d93d7ab01e248ef2db96c
 exact/polbooks 97c369f209a46520e0f0d7b6c0df1b30d1cc0d0321de8d92583bac49f61969dd
 second-best/polbooks 6bfef8ab0aeb6933ac7ff59479a66ff43174426eb44fae32d426cc05851eb242
 g-oracle/polbooks d6e64d2a7408e9ad9259d5c2dde1f7196973feb00d7c0da7ec4fe2736e1ac693
+family/lesmis 783e03836f8c709350e03df24d49ee6f1e9052ae2bbe1b4d2e7d78e52a815ded
+family/polbooks d93e7f2265d7a123c4847d81d3f9ebbe9fef02c9cfb11457223017018d274bfc
 """
 
 

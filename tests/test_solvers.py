@@ -320,3 +320,31 @@ def test_second_best_matches_brute_force(seed, n, integer_weights):
         best_mask = sum(1 << v for v in best)
         ref = float(dens[masks != best_mask].max())
         assert second_best_density(G, w, best) == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11, 1e-14, 1e-20, 1e-300])
+def test_small_weights_solved_exactly(scale):
+    # the integer scale follows the largest weight, so shrinking all
+    # weights by one factor leaves the rounding error as small relative
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        G = random_graph(rng, int(rng.integers(4, 10)))
+        w = rng.uniform(0.5, 1.5, size=G.m) * scale
+        ref = brute_force_densest(G, w)
+        res = exact_densest(G, w)
+        assert res.subset == ref.subset
+        assert res.value == pytest.approx(ref.value, rel=1e-9, abs=0.0)
+        masks, dens = subset_densities(G, w)
+        runner_up = float(dens[masks != sum(1 << v for v in res.subset)].max())
+        assert second_best_density(G, w, res.subset) == pytest.approx(runner_up, rel=1e-9, abs=0.0)
+
+
+def test_tiny_weights_are_not_rounded_away():
+    # triangle 0-1-2 with a pendant 3 on vertex 2 whose edge outweighs the
+    # triangle's: {2, 3} and the whole graph have density 1.5e-14, and the
+    # tie goes to the smaller set
+    G = Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)], 4)
+    w = np.array([1.0, 1.0, 1.0, 3.0]) * 1e-14
+    res = exact_densest(G, w)
+    assert res.subset == (2, 3) and res.value == pytest.approx(1.5e-14, rel=1e-12, abs=0.0)
+    assert second_best_density(G, w, res.subset) == pytest.approx(1.5e-14, rel=1e-12, abs=0.0)
