@@ -44,15 +44,18 @@ def run_naive(
     rng = np.random.default_rng(oracle.seed)
     w_avg = np.zeros(G.m)
     visits = np.zeros(G.m, dtype=np.int64)
+    index = [np.array(es, dtype=np.intp) for es in family.edge_sets]
     for _ in range(T):
         arm = int(rng.integers(len(family.arms)))
         es = family.edge_sets[arm]
         if not es:
             continue
         share = oracle.sample_edges(es) / len(es)
-        for e in es:
-            visits[e] += 1
-            w_avg[e] += (share - w_avg[e]) / visits[e]
+        # an edge set has no repeats, so this is the per-edge running
+        # average, element by element
+        idx = index[arm]
+        visits[idx] += 1
+        w_avg[idx] += (share - w_avg[idx]) / visits[idx]
     return exact_densest(G, np.clip(w_avg, 0.0, None)).subset
 
 

@@ -124,7 +124,8 @@ def _indicator(m: int, edge_idxs) -> np.ndarray:
 def generate_arm_family(G: Graph, k: int, seed: int) -> ArmFamily:
     """Random rank-spanning family: sizes uniform on [k, n], members uniform,
     an arm kept only when it raises the span of the stacked indicators.
-    Stops with exactly m arms; errors out after 1000 m + 10^4 attempts.
+    Stops with exactly m arms; errors out after 1000 m + 10^4 attempts, and
+    at once on a graph without edges.
 
     The accepted indicators are kept orthonormalised in the rows of one
     m x m array. A candidate is projected off them by classical Gram-Schmidt
@@ -134,6 +135,8 @@ def generate_arm_family(G: Graph, k: int, seed: int) -> ArmFamily:
     is ascending, as ``induced_edges`` gives it."""
     if not (2 < k <= G.n):
         raise ValueError(f"need 2 < k <= n, got k={k}, n={G.n}")
+    if G.m == 0:
+        raise ValueError("the graph has no edges, so no arm has an edge to observe")
     rng = np.random.default_rng(seed)
     max_attempts = 1000 * G.m + 10000
     eu, ev = np.asarray(G.edges, dtype=np.intp).reshape(-1, 2).T
@@ -331,7 +334,8 @@ def run_dslin(
     rounds until the stopping test fires or ``max_iters`` total rounds pass.
 
     Each exact solve after the first starts from the previous incumbent,
-    which changes its cost, not its answer.
+    and its max flow from the previous solve's, which changes its cost, not
+    its answer.
 
     Returns the final incumbent (exact densest set under the last estimate)
     and diagnostics with per-round traces.

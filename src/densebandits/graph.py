@@ -137,9 +137,9 @@ def as_weight_vector(G: Graph, values) -> np.ndarray:
     w = np.asarray(values, dtype=np.float64)
     if w.shape != (G.m,):
         raise ValueError(f"weight vector has shape {w.shape}, expected ({G.m},)")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("weights must be nonnegative")
     return w
 

@@ -13,22 +13,30 @@ handful of max-flow calls. All capacities are integers (weights are
 pre-scaled and rounded), so the iteration and the optimality test are exact
 on the rounded instance.
 
-Three things keep the repeated solves cheap:
+Four things keep the repeated solves cheap:
 
 - Warm start. The iteration may start from any nonempty set, which a local
   search (add or drop one vertex while that raises the density) polishes
   first; a start that is then optimal costs a single max-flow call, which
   proves it optimal. Cold solves start from a greedy peel.
-- Gadget reuse. The arc arrays depend only on the graph, so they are built
-  once and kept in a one-entry cache keyed by the ``Graph`` value; each guess
-  refills only the capacities. A forced vertex gets a source arc no cut can
-  afford.
+- Gadget reuse. The arc arrays and the edge endpoints depend only on the
+  graph, so they are built once and kept in a one-entry cache keyed by the
+  ``Graph`` value; each guess refills only the capacities. A forced vertex
+  gets a source arc no cut can afford.
+- Warm flow. The cache also keeps the edge flows of the last max flow of an
+  ``exact_densest`` solve on that graph, with the capacities they were found
+  at. The next such max flow starts from them, each scaled to its edge's new
+  capacity, f * (q*c) / (q0*c0), and clipped to +-q*c. Under weights that
+  barely move, as in DS-Lin's rounds, that flow is nearly maximum.
+  ``second_best_density``'s constrained solves start from the zero flow and
+  neither read nor store it.
 - Pre-saturation. Before the first Dinic phase the direct path s->v->t of
-  every vertex carries min(q*M, q*M + 2p - q*d(v)), which leaves each vertex
-  with a source arc of q*d(v) - 2p or a sink arc of 2p - q*d(v), not both,
-  and removes M from the residual network altogether. One greedy pass then
-  pushes what it can along the two-hop paths s->u->v->t, which leaves Dinic
-  a few longer augmenting paths instead of dozens of short ones.
+  every vertex carries what balances the vertex: with r = 2p - q*d(v) + (the
+  starting flow's net outflow of v), that leaves a source arc of -r or a
+  sink arc of r, not both, and removes M from the residual network
+  altogether. One greedy pass then pushes what it can along the two-hop
+  paths s->u->v->t, which leaves Dinic a few longer augmenting paths instead
+  of dozens of short ones.
 
 Ties are broken toward the smallest cardinality set, then lexicographically
 smallest membership. At the optimal guess every maximizer is the source side
@@ -43,7 +51,8 @@ tie-break does not depend on the start or on which maximum flow was found:
 Dinkelbach ends at the unique optimal p/q of the rounded instance, and the
 sets read off the residual network (reachable from s, reaching t, and each
 closure) are the minimum cuts' lattice, which is the same for every maximum
-flow (Picard-Queyranne 1980).
+flow (Picard-Queyranne 1980). So neither the answer nor the number of
+max-flow calls depends on the flow a max flow starts from.
 
 An equivalent exact LP formulation (kept as a reference, not used): maximize
 sum_e w_e y_e subject to y_e <= x_u and y_e <= x_v for each edge e = {u, v},
@@ -59,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, as_vertex_set, as_weight_vector, density, star_edges
+from .graph import Graph, as_vertex_set, as_weight_vector, star_edges
 
 _SCALE_CAP = 2**42
 _FLOW_HEADROOM = 2**61
@@ -91,19 +100,19 @@ class PeelingTrace:
     best_value: float
 
 
-def _weighted_degrees(G: Graph, w: np.ndarray) -> np.ndarray:
+def _weighted_degrees(gadget: _Gadget, w: np.ndarray) -> np.ndarray:
     # endpoints interleaved in edge order, so each vertex sums its edges in
     # ascending index order, as a per-edge loop would
-    ends = np.asarray(G.edges, dtype=np.intp).reshape(-1)
-    return np.bincount(ends, weights=np.repeat(w, 2), minlength=G.n)
+    return np.bincount(gadget.ends, weights=np.repeat(w, 2), minlength=gadget.n)
 
 
-def _integer_scale(G: Graph, w: np.ndarray) -> int:
+def _integer_scale(gadget: _Gadget, w: np.ndarray) -> int:
     """Scale factor K so q*M-sized capacities keep max-flow values in int64."""
-    max_dw = float(_weighted_degrees(G, w).max()) if G.n else 0.0
+    n = gadget.n
+    max_dw = float(_weighted_degrees(gadget, w).max()) if n else 0.0
     if max_dw <= 0.0:
         return _SCALE_CAP
-    K = int(min(_SCALE_CAP, _FLOW_HEADROOM / (4.0 * G.n * G.n * max_dw)))
+    K = int(min(_SCALE_CAP, _FLOW_HEADROOM / (4.0 * n * n * max_dw)))
     if K < 1:
         raise ValueError("weights too large for the integer-scaled flow solver")
     return K
@@ -181,13 +190,13 @@ def brute_force_densest(G: Graph, w) -> DensestResult:
 
 
 def _maxflow(to: list[int], adj: list[list[int]], cap: list[int], s: int, t: int) -> list[int]:
-    """Dinic max flow, in place on ``cap``; returns the last BFS levels.
+    """Dinic max flow, in place on ``cap``; returns the nodes reachable from
+    s in the residual network, s first.
 
     Arcs come in pairs so ``a ^ 1`` is the reverse of arc ``a``; afterwards
-    ``cap`` holds residual capacities, and level[v] >= 0 exactly when v is
-    reachable from s. Capacities are Python ints: library flow routines
-    either truncate to 32 bits or work in floating point, and the solver
-    needs exact arithmetic on capacities of order 2^50.
+    ``cap`` holds residual capacities. Capacities are Python ints: library
+    flow routines either truncate to 32 bits or work in floating point, and
+    the solver needs exact arithmetic on capacities of order 2^50.
     """
     nn = len(adj)
     while True:
@@ -204,7 +213,7 @@ def _maxflow(to: list[int], adj: list[list[int]], cap: list[int], s: int, t: int
             if level[t] >= 0:
                 break
         else:
-            return level
+            return queue
         it = [0] * nn
         path: list[int] = []  # arcs from s to u
         u = s
@@ -242,7 +251,7 @@ def _maxflow(to: list[int], adj: list[list[int]], cap: list[int], s: int, t: int
 
 
 class _Gadget:
-    """Arc arrays of the flow network of one graph.
+    """Arc arrays of the flow network of one graph, and the last warm flow.
 
     Node 0 is s, vertex v is node v + 1 and t is node n + 1. Arc 2v is s->v,
     arc 2n + 2v is v->t, and arc 4n + 2e carries edge e = (u, v) from u to v
@@ -251,10 +260,17 @@ class _Gadget:
     s-t path and no closure outside that of s uses them; t lists the pairs
     of the sink arcs, for the search of the vertices that reach t. A vertex
     lists its sink arc first, so a search that can end at t does so at once.
+
+    ``ends`` holds the edge endpoints interleaved in edge order, u0 v0 u1
+    v1 ..., which are the tails of the edge arcs, and ``out[u]`` the sink
+    arc of each neighbour v of u with the arc u->v. ``flow`` is the residual
+    capacity of each edge arc, cap[4n:], at the end of the last warm max
+    flow (None before the first); it holds that flow and its capacities.
     """
 
     def __init__(self, G: Graph):
         n = G.n
+        self.G = G
         self.n = n
         self.sink = t = n + 1
         self.to: list[int] = []
@@ -272,6 +288,18 @@ class _Gadget:
         for e, (u, v) in enumerate(G.edges):
             self.adj[u + 1].append(4 * n + 2 * e)
             self.adj[v + 1].append(4 * n + 2 * e + 1)
+        self.ends = np.asarray(G.edges, dtype=np.intp).reshape(-1)
+        self.out = [
+            [(2 * n + 2 * v, 4 * n + 2 * e + (u > v)) for v, e in nbrs] for u, nbrs in enumerate(G.adjacency)
+        ]
+        self.flow: list[int] | None = None
+
+    def density(self, w: np.ndarray, members: list[int]) -> float:
+        """``graph.density`` of a nonempty list of distinct vertices: the
+        same edges, summed in the same order."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[members] = True
+        return float(w[mask[self.ends[0::2]] & mask[self.ends[1::2]]].sum()) / len(members)
 
 
 _gadget_cache: tuple[Graph, _Gadget] | None = None
@@ -280,8 +308,8 @@ _gadget_cache: tuple[Graph, _Gadget] | None = None
 def _gadget_for(G: Graph) -> _Gadget:
     """The gadget of G, rebuilt only when a different graph comes in.
 
-    Keyed by value: an equal graph built anew reuses the arcs, and a new
-    graph that happens to get a freed graph's id() does not.
+    Keyed by value: an equal graph built anew reuses the arcs and the warm
+    flow, and a new graph that happens to get a freed graph's id() does not.
     """
     global _gadget_cache
     if _gadget_cache is None or _gadget_cache[0] != G:
@@ -295,20 +323,18 @@ class _CutSolver:
     ``force`` keeps one vertex in every candidate set; ``flow_calls`` counts
     the max-flow runs. A vertex of zero weighted degree never joins a
     maximizer at a positive guess p/q: its sink arc keeps residual 2p, and
-    nothing flows into it.
+    nothing flows into it. A ``warm`` solver starts each max flow from the
+    gadget's stored flow and stores the one it finds; any other starts from
+    the zero flow and leaves the stored one alone.
     """
 
-    def __init__(self, G: Graph, what: np.ndarray, force: int | None = None):
-        self.G = G
-        self.gadget = _gadget_for(G)
+    def __init__(self, gadget: _Gadget, what: np.ndarray, force: int | None = None, warm: bool = False):
+        self.G = gadget.G
+        self.gadget = gadget
         self.force = force
-        c = what.tolist()
-        deg = [0] * G.n
-        for (u, v), cu in zip(G.edges, c):
-            deg[u] += cu
-            deg[v] += cu
-        self.c = c
-        self.deg = deg
+        self.warm = warm
+        self.what = what
+        self.c = what.tolist()
         self.flow_calls = 0
 
     def weight_of(self, members) -> int:
@@ -317,39 +343,55 @@ class _CutSolver:
         return sum(c[idx] for u in members for v, idx in adjacency[u] if v > u and v in inside)
 
     def _capacities(self, p: int, q: int) -> list[int]:
-        """Residual capacities at guess p/q once s->v->t and then, greedily
-        in edge order, s->u->v->t paths are saturated. Arcs into s and out
-        of t start empty: no s-t path or closure needs them."""
-        n = self.gadget.n
-        r = [2 * p - q * d for d in self.deg]
-        src = [-x if x < 0 else 0 for x in r]
-        snk = [x if x > 0 else 0 for x in r]
-        qc = [q * c for c in self.c]
+        """Residual capacities at guess p/q around a starting flow.
+
+        A warm solver starts from the stored flow scaled to the new edge
+        capacities, f * (q*c) / (q0*c0) clipped to +-q*c, any other from the
+        zero flow. Every source and sink arc then carries what keeps its
+        vertex balanced, which leaves vertex v a source arc of -r or a sink
+        arc of r, not both, for r = 2p - q*d(v) + (net flow out of v): the
+        direct paths s->v->t are saturated and M leaves the residual
+        network. A greedy pass, source vertex by source vertex, then
+        saturates what it can of the s->u->v->t paths. Arcs into s and out
+        of t start empty: no s-t path or closure needs them.
+        """
+        gadget = self.gadget
+        n = gadget.n
+        qc = q * self.what
+        cap = np.zeros(4 * n + 2 * len(qc), dtype=np.int64)
+        arcs = cap[4 * n :]
+        arcs[0::2] = qc
+        arcs[1::2] = qc
+        if self.warm and gadget.flow is not None:
+            # the old residuals are q0*c0 - f and q0*c0 + f
+            old = np.array(gadget.flow, dtype=np.int64)
+            fwd0, bwd0 = old[0::2], old[1::2]
+            f = ((bwd0 - fwd0) / np.maximum(bwd0 + fwd0, 1) * qc).astype(np.int64)
+            np.minimum(f, qc, out=f)
+            np.maximum(f, -qc, out=f)
+            arcs[0::2] -= f
+            arcs[1::2] += f
+        r = np.full(n, 2 * p, dtype=np.int64)
+        np.subtract.at(r, gadget.ends, arcs)  # each arc's residual from its tail
+        np.maximum(-r, 0, out=cap[0 : 2 * n : 2])
+        np.maximum(r, 0, out=cap[2 * n : 4 * n : 2])
+        cap = cap.tolist()
         if self.force is not None:
-            snk[self.force] = 0
-            src[self.force] = 1 + sum(src) + sum(snk) + 2 * sum(qc)  # uncuttable
-        fwd, bwd = qc, qc.copy()
-        for e, (u, v) in enumerate(self.G.edges):
-            c = qc[e]
-            if not c:
+            x = self.force
+            cap[2 * n + 2 * x] = 0
+            cap[2 * x] = 1 + sum(cap[: 4 * n]) + 2 * int(qc.sum())  # uncuttable
+        for u in range(n):
+            if not cap[2 * u]:
                 continue
-            f = min(src[u], c, snk[v])
-            if f:
-                src[u] -= f
-                snk[v] -= f
-                fwd[e] = c - f
-                bwd[e] = c + f
-            f = min(src[v], bwd[e], snk[u])
-            if f:
-                src[v] -= f
-                snk[u] -= f
-                bwd[e] -= f
-                fwd[e] += f
-        cap = [0] * len(self.gadget.to)
-        cap[0 : 2 * n : 2] = src
-        cap[2 * n : 4 * n : 2] = snk
-        cap[4 * n :: 2] = fwd
-        cap[4 * n + 1 :: 2] = bwd
+            for tv, a in gadget.out[u]:
+                if cap[tv]:
+                    f = min(cap[2 * u], cap[a], cap[tv])
+                    cap[2 * u] -= f
+                    cap[tv] -= f
+                    cap[a] -= f
+                    cap[a ^ 1] += f
+                    if not cap[2 * u]:
+                        break
         return cap
 
     def solve(self, start=None, tie_break: bool = True) -> list[int]:
@@ -360,7 +402,7 @@ class _CutSolver:
         """
         if not any(self.c):  # every set has density 0; no max-flow call
             return [self.force if self.force is not None else 0]
-        start = set(_greedy_start(self.G, np.asarray(self.c, dtype=np.float64)) if start is None else start)
+        start = set(_greedy_start(self.gadget, self.what.astype(np.float64)) if start is None else start)
         if self.force is not None:
             start.add(self.force)
         p, q = self._polish(start)
@@ -369,9 +411,11 @@ class _CutSolver:
         gadget = self.gadget
         for _ in range(200):
             cap = self._capacities(p, q)
-            level = _maxflow(gadget.to, gadget.adj, cap, 0, gadget.sink)
+            reach_s = _maxflow(gadget.to, gadget.adj, cap, 0, gadget.sink)
             self.flow_calls += 1
-            members = [v for v in range(self.G.n) if level[v + 1] >= 0]
+            if self.warm:
+                gadget.flow = cap[4 * gadget.n :]
+            members = [x - 1 for x in reach_s[1:]]
             if members:
                 weight = self.weight_of(members)
                 if q * weight > p * len(members):
@@ -379,10 +423,11 @@ class _CutSolver:
                     g = math.gcd(p, q)
                     p, q = p // g, q // g
                     continue
-            reach_t = set(self._search(cap, gadget.sink, back=True))
+            reach_t = self._search(cap, gadget.sink, back=True)[1]
+            union = [x for x in range(1, gadget.sink) if not reach_t[x]]
             if not tie_break:
-                return [v for v in range(self.G.n) if v + 1 not in reach_t]
-            return self._canonical(cap, reach_t, p, q)
+                return [x - 1 for x in union]
+            return self._canonical(cap, reach_t, union, p, q)
         raise RuntimeError("density iteration failed to converge")
 
     def _polish(self, members) -> tuple[int, int]:
@@ -407,13 +452,13 @@ class _CutSolver:
             num, den = weight, size
             for v in range(self.G.n):
                 if not inside[v]:
-                    cand = (weight + into[v], size + 1)
+                    cw, cs = weight + into[v], size + 1
                 elif size > 1 and v != self.force:
-                    cand = (weight - into[v], size - 1)
+                    cw, cs = weight - into[v], size - 1
                 else:
                     continue
-                if cand[0] * den > num * cand[1]:
-                    move, (num, den) = v, cand
+                if cw * den > num * cs:
+                    move, num, den = v, cw, cs
             if move is None:
                 return weight, size
             sign = -1 if inside[move] else 1
@@ -422,23 +467,26 @@ class _CutSolver:
                 into[x] += sign * c[idx]
             weight, size = num, den
 
-    def _search(self, cap: list[int], root: int, back: bool = False, within=None) -> list[int]:
+    def _search(
+        self, cap: list[int], root: int, back: bool = False, avoid: list[bool] | None = None
+    ) -> tuple[list[int], list[bool]]:
         """Nodes that ``root`` reaches in the residual network, or with
-        ``back`` the nodes that reach ``root``; only through the nodes
-        ``within`` when that is given."""
+        ``back`` the nodes that reach ``root``, in search order and as flags
+        by node; never through the nodes flagged in ``avoid``."""
         to, adj = self.gadget.to, self.gadget.adj
         flip = 1 if back else 0
-        seen = {root}
+        seen = [False] * len(adj) if avoid is None else avoid.copy()
+        seen[root] = True
         queue = [root]
         for u in queue:
             for a in adj[u]:
                 v = to[a]
-                if cap[a ^ flip] and v not in seen and (within is None or v in within):
-                    seen.add(v)
+                if not seen[v] and cap[a ^ flip]:
+                    seen[v] = True
                     queue.append(v)
-        return queue
+        return queue, seen
 
-    def _canonical(self, cap, reach_t, p: int, q: int) -> list[int]:
+    def _canonical(self, cap, reach_t, union, p: int, q: int) -> list[int]:
         """Smallest-cardinality, then lexicographic, maximizer extraction.
 
         Runs at the optimal guess without a forced vertex, where the closure
@@ -446,22 +494,23 @@ class _CutSolver:
         vertex of it that reaches all of it and is reached from all of it
         makes it strongly connected and the only candidate. Otherwise each
         vertex of the union gives one candidate: its residual closure.
+        ``reach_t`` flags the nodes that reach t, and ``union`` lists the
+        other vertices' nodes.
         """
-        union = [v + 1 for v in range(self.G.n) if v + 1 not in reach_t]
         root, size = union[0], len(union)
-        forward = self._search(cap, root)
-        if len(forward) == size and len(self._search(cap, root, True, set(union))) == size:
+        if len(self._search(cap, root)[0]) == size and len(self._search(cap, root, True, reach_t)[0]) == size:
             members = [i - 1 for i in union]
         else:
-            closures = (sorted(x - 1 for x in self._search(cap, i)) for i in union)
+            closures = (sorted(x - 1 for x in self._search(cap, i)[0]) for i in union)
             members = min((len(c), c) for c in closures)[1]
         assert q * self.weight_of(members) == p * len(members)
         return members
 
 
-def _greedy_start(G: Graph, w: np.ndarray) -> list[int]:
+def _greedy_start(gadget: _Gadget, w: np.ndarray) -> list[int]:
     """Densest prefix of a greedy peel (a cold start)."""
-    degs = _weighted_degrees(G, w)
+    G = gadget.G
+    degs = _weighted_degrees(gadget, w)
     num = 0.5 * float(degs.sum())
     order: list[int] = []
     best_num, best_den, best_removed = -1.0, 1, 0
@@ -481,13 +530,13 @@ def _greedy_start(G: Graph, w: np.ndarray) -> list[int]:
     return [v for v in range(G.n) if v not in removed]
 
 
-def _rounded(G: Graph, w: np.ndarray) -> np.ndarray:
+def _rounded(gadget: _Gadget, w: np.ndarray) -> np.ndarray:
     # shift by 2^e, the least e >= 0 with max(w) * 2^e >= 1/2, so that small
     # weights keep as many bits as weights near 1; the shift is exact, and
     # e = 0 once max(w) >= 1/2
     e = max(0, -math.frexp(float(w.max(initial=0.0)))[1])
-    shifted = np.ldexp(w, e)
-    return np.rint(shifted * _integer_scale(G, shifted)).astype(np.int64)
+    shifted = np.ldexp(w, e) if e else w
+    return np.rint(shifted * _integer_scale(gadget, shifted)).astype(np.int64)
 
 
 def exact_densest(G: Graph, w, start=None) -> DensestResult:
@@ -501,16 +550,19 @@ def exact_densest(G: Graph, w, start=None) -> DensestResult:
 
     ``start``, a nonempty vertex set, seeds the density iteration in place
     of a greedy peel; a good start (such as the optimum under nearby
-    weights) saves max-flow calls. The result does not depend on it.
+    weights) saves max-flow calls. The result does not depend on it. Each
+    max flow starts from the last one an ``exact_densest`` call found on the
+    same graph, which changes its cost, not the result or ``flow_calls``.
     """
     w = as_weight_vector(G, w)
     if start is not None:
         start = as_vertex_set(G, start)
         if not start:
             raise ValueError("start set must be nonempty")
-    solver = _CutSolver(G, _rounded(G, w))
-    subset = tuple(solver.solve(start, tie_break=True))
-    return DensestResult(subset=subset, value=density(G, w, subset), flow_calls=solver.flow_calls)
+    gadget = _gadget_for(G)
+    solver = _CutSolver(gadget, _rounded(gadget, w), warm=True)
+    subset = solver.solve(start, tie_break=True)
+    return DensestResult(subset=tuple(subset), value=gadget.density(w, subset), flow_calls=solver.flow_calls)
 
 
 def second_best_density(G: Graph, w, best) -> float:
@@ -532,17 +584,18 @@ def second_best_density(G: Graph, w, best) -> float:
     best = as_vertex_set(G, best)
     if G.n < 2:
         raise ValueError("second-best density needs at least two vertices")
-    what = _rounded(G, w)
+    gadget = _gadget_for(G)
+    what = _rounded(gadget, w)
     best_members = set(best)
     runner_value = -math.inf
     for v in range(G.n):
         if v in best_members:
             without_v = what.copy()
             without_v[[idx for _, idx in G.adjacency[v]]] = 0
-            solver = _CutSolver(G, without_v)
+            solver = _CutSolver(gadget, without_v)
             cand = solver.solve(best_members - {v} or None, tie_break=False)
         else:
-            solver = _CutSolver(G, what, force=v)
+            solver = _CutSolver(gadget, what, force=v)
             cand = solver.solve(best_members | {v}, tie_break=False)
-        runner_value = max(runner_value, density(G, w, cand))
+        runner_value = max(runner_value, gadget.density(w, cand))
     return runner_value

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from densebandits import baselines
 from densebandits.baselines import run_naive, run_r_oracle
 from densebandits.dslin import ArmFamily, generate_arm_family
 from densebandits.graph import Graph
@@ -95,6 +96,24 @@ class TestNaive:
         w_avg = orc.edge_share_means(lollipop.m)
         assert w_avg.min() < 0 < w_avg.max()
         assert subset == (0, 3) == exact_densest(lollipop, np.clip(w_avg, 0.0, None)).subset
+
+    def test_averages_equal_the_per_edge_loop(self, karate, monkeypatch):
+        # each round updates its arm's edges at once; the weights solved on
+        # must be those of the per-edge running average, bit for bit
+        w = np.random.default_rng(8).uniform(0.0, 10.0, karate.m)
+        fam = generate_arm_family(karate, k=10, seed=0)
+        orc = RecordingOracle(make_oracle(karate, w, NoiseModel(kind="gaussian-per-edge", R=1.0), seed=4))
+        solved = []
+        monkeypatch.setattr(baselines, "exact_densest", lambda G, x: solved.append(x) or exact_densest(G, x))
+        run_naive(karate, fam, orc, T=300)
+        w_avg = np.zeros(karate.m)
+        visits = np.zeros(karate.m, dtype=np.int64)
+        for F, obs in orc.queries:
+            share = obs / len(F)
+            for e in F:
+                visits[e] += 1
+                w_avg[e] += (share - w_avg[e]) / visits[e]
+        assert len(solved) == 1 and solved[0].tobytes() == np.clip(w_avg, 0.0, None).tobytes()
 
     def test_returns_a_vertex_tuple(self, lollipop):
         fam = singleton_edge_family(lollipop)

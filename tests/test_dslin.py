@@ -90,6 +90,11 @@ class TestArmFamily:
         assert all(fam.edge_sets) and all(0 in a for a in fam.arms)
         assert fam.edge_sets == tuple(tuple(induced_edges(star4, a)) for a in fam.arms)
 
+    def test_edgeless_graph_rejected(self):
+        # n = 3 allows k = 3, but with m = 0 there is nothing to span
+        with pytest.raises(ValueError, match="no edges"):
+            generate_arm_family(Graph.from_edges([], 3), k=3, seed=0)
+
     def test_bad_allocation_rejected(self, lollipop):
         fam = lollipop_family(p=(0.0, 0.0, 0.0, 0.0))
         state = init_state(lollipop, fam, DsLinParams())
@@ -400,6 +405,15 @@ class TestWarmStartedRun:
         solves = len(diag.incumbent_density_trace)
         assert solves == 201
         assert solves <= diag.flow_calls <= 1.1 * solves
+
+    @pytest.mark.parametrize("seed, flow_calls", [(0, 819), (1, 833), (2, 821)])
+    def test_flow_calls_are_pinned(self, setting, seed, flow_calls):
+        # each solve starts its max flow from the previous solve's, which
+        # changes the flow's cost, not the number of flows: these counts were
+        # recorded when every max flow started from zero
+        G = setting[0]
+        _, diag = self.run(setting, G.m + 800, seed)
+        assert diag.flow_calls == flow_calls
 
     def test_stop_inputs_computed_once_per_round(self, setting, monkeypatch):
         calls = {"estimate": 0, "confidence_radius": 0}

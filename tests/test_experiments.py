@@ -457,6 +457,14 @@ class TestCli:
         assert main(["dslin", "--graph", g, "--weights", w, "--k", "5"]) == 1
         assert "config error: need 2 < k <= n" in capsys.readouterr().err
 
+    def test_dslin_on_an_edgeless_graph_is_a_config_error(self, tmp_path, capsys):
+        # three self-loops load as n = 3, m = 0: no arm can observe an edge
+        g, w = tmp_path / "loops.txt", tmp_path / "empty.txt"
+        g.write_text("0 0\n1 1\n2 2\n")
+        w.write_text("")
+        assert main(["dslin", "--graph", str(g), "--weights", str(w), "--seeds", "0", "--k", "3"]) == 1
+        assert "config error: the graph has no edges" in capsys.readouterr().err
+
     def test_dssr_default_budget_runs_on_a_triangle(self, tmp_path, capsys):
         # n = 3: the overhead is 10, so the default budget must exceed it
         g, w = tmp_path / "tri.txt", tmp_path / "tri_w.txt"

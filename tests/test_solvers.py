@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densebandits import solvers
 from densebandits.experiments import knockout_weights
 from densebandits.graph import Graph, density, induced_edges
 from densebandits.solvers import (
@@ -322,6 +323,51 @@ def test_second_best_matches_brute_force(seed, n, integer_weights):
         assert second_best_density(G, w, best) == pytest.approx(ref, abs=1e-9)
 
 
+def cold_densest(G, w, start=None):
+    """exact_densest with the flow cache emptied, so its max flows start
+    from the zero flow."""
+    solvers._gadget_cache = None
+    return exact_densest(G, w, start=start)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=12),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_warm_flow_never_changes_the_solve(seed, n, integer_weights, restart):
+    # a solve that starts its max flow from the previous solve's on the same
+    # graph returns what a solve from the zero flow returns, with as many
+    # flows; with ``restart`` it also starts the density iteration from the
+    # previous answer, as DS-Lin does
+    rng, G, w1 = tie_prone_instance(seed, n, integer_weights)
+    if integer_weights:
+        w2 = rng.integers(1, 3, size=G.m).astype(np.float64)
+    else:
+        w2 = w1 * rng.uniform(0.5, 1.5, size=G.m)
+    first = cold_densest(G, w1)
+    start = first.subset if restart else None
+    assert solvers._gadget_for(G).flow is not None  # the next solve is warm
+    warm = exact_densest(G, w2, start=start)
+    cold = cold_densest(G, w2, start=start)
+    assert (warm.subset, warm.value, warm.flow_calls) == (cold.subset, cold.value, cold.flow_calls)
+
+
+def test_second_best_leaves_the_stored_flow_alone(karate):
+    # its constrained solves start from the zero flow and store nothing, so
+    # the next exact solve starts from the last exact solve's flow
+    w = knockout_weights(karate, seed=0)
+    best = exact_densest(karate, w).subset
+    gadget = solvers._gadget_for(karate)
+    stored = gadget.flow
+    kept = list(stored)
+    second_best_density(karate, w, best)
+    assert solvers._gadget_for(karate) is gadget
+    assert gadget.flow is stored and gadget.flow == kept
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11, 1e-14, 1e-20, 1e-300])
 def test_small_weights_solved_exactly(scale):
     # the integer scale follows the largest weight, so shrinking all
@@ -337,6 +383,26 @@ def test_small_weights_solved_exactly(scale):
         masks, dens = subset_densities(G, w)
         runner_up = float(dens[masks != sum(1 << v for v in res.subset)].max())
         assert second_best_density(G, w, res.subset) == pytest.approx(runner_up, rel=1e-9, abs=0.0)
+
+
+def test_weights_at_the_flow_headroom():
+    # weights so large that the integer scale is 1: the capacities are as
+    # large as the int64 headroom allows, for a cold solve, a solve warm
+    # started from it and the constrained solves of the second best
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        G = random_graph(rng, int(rng.integers(4, 10)))
+        w = rng.uniform(0.5, 1.5, size=G.m)
+        degrees = np.bincount(np.ravel(G.edges), weights=np.repeat(w, 2), minlength=G.n)
+        w *= 2.0**61 / (4 * G.n**2 * float(degrees.max()) * 1.5)
+        for weights in (w, w * rng.uniform(0.9, 1.0, size=G.m)):
+            masks, dens = subset_densities(G, weights)
+            ref = brute_force_densest(G, weights)
+            res = exact_densest(G, weights)
+            assert res.subset == ref.subset
+            assert res.value == pytest.approx(ref.value, rel=1e-9, abs=0.0)
+            runner_up = float(dens[masks != sum(1 << v for v in res.subset)].max())
+            assert second_best_density(G, weights, res.subset) == pytest.approx(runner_up, rel=1e-9, abs=0.0)
 
 
 def test_tiny_weights_are_not_rounded_away():
