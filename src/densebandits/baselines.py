@@ -44,18 +44,18 @@ def run_naive(
     rng = np.random.default_rng(oracle.seed)
     w_avg = np.zeros(G.m)
     visits = np.zeros(G.m, dtype=np.int64)
-    index = [np.array(es, dtype=np.intp) for es in family.edge_sets]
     for _ in range(T):
         arm = int(rng.integers(len(family.arms)))
-        es = family.edge_sets[arm]
-        if not es:
+        idx = family.edge_index[arm]
+        if not idx.size:
             continue
-        share = oracle.sample_edges(es) / len(es)
+        share = oracle.sample_edges(idx) / idx.size
         # an edge set has no repeats, so this is the per-edge running
         # average, element by element
-        idx = index[arm]
-        visits[idx] += 1
-        w_avg[idx] += (share - w_avg[idx]) / visits[idx]
+        count = visits[idx] + 1
+        visits[idx] = count
+        mean = w_avg[idx]
+        w_avg[idx] = mean + (share - mean) / count
     return exact_densest(G, np.clip(w_avg, 0.0, None)).subset
 
 

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .graph import Graph, induced_edges
-from .solvers import exact_densest, second_best_density
+from .solvers import _densest, second_best_density
 
 _EXACT_QP_LIMIT = 22
 _RANK_TOL = 1e-8
@@ -53,6 +54,15 @@ class ArmFamily:
     arms: tuple[tuple[int, ...], ...]
     edge_sets: tuple[tuple[int, ...], ...]
     p: np.ndarray
+
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, ...]:
+        """Each edge set as a read-only ``np.intp`` array, built on first
+        use: the form the oracle checks fastest."""
+        index = tuple(np.array(es, dtype=np.intp) for es in self.edge_sets)
+        for idx in index:
+            idx.flags.writeable = False
+        return index
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,12 @@ class DesignState:
     counts: np.ndarray
     chi: np.ndarray
     support: np.ndarray  # arms with positive allocation, ascending
+    alloc: np.ndarray  # the allocation p on the support
+    # update's m x m scratch for the Sherman-Morrison correction
+    _outer: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._outer = np.empty_like(self.A_inv)
 
 
 @dataclass
@@ -183,7 +199,8 @@ def default_weight_norm_bound(G: Graph) -> float:
 def init_state(G: Graph, family: ArmFamily, params: DsLinParams) -> DesignState:
     m = G.m
     L = params.L if params.L is not None else default_weight_norm_bound(G)
-    chi = np.stack([_indicator(m, es) for es in family.edge_sets])
+    chi = np.stack([_indicator(m, es) for es in family.edge_index])
+    support = np.flatnonzero(family.p > 0)
     return DesignState(
         G=G,
         params=params,
@@ -195,18 +212,20 @@ def init_state(G: Graph, family: ArmFamily, params: DsLinParams) -> DesignState:
         b=np.zeros(m),
         counts=np.zeros(len(family.arms), dtype=np.int64),
         chi=chi,
-        support=np.flatnonzero(family.p > 0),
+        support=support,
+        alloc=family.p[support],
     )
 
 
 def select_arm(state: DesignState, family: ArmFamily) -> int:
     """Index minimizing pull-count / allocation over the support of p,
-    taken once per run by ``init_state``; ties go to the lowest index."""
+    taken once per run by ``init_state`` with p on it; ties go to the
+    lowest index."""
     support = state.support
     if support.size == 0:
         raise ValueError("allocation has empty support")
-    ratios = state.counts[support] / family.p[support]
-    return int(support[np.argmin(ratios)])
+    ratios = state.counts[support] / state.alloc
+    return int(support[ratios.argmin()])
 
 
 def design_matrix(state: DesignState) -> np.ndarray:
@@ -220,16 +239,19 @@ def update(state: DesignState, arm: int, reward: float) -> None:
 
     The log-determinant is advanced before the inverse (the determinant
     lemma needs the old inverse); the inverse then gets the Sherman-Morrison
-    correction. Every 256 rounds both are re-derived densely from the
-    rebuilt design matrix as a drift check.
+    correction u u^T / (1 + s), formed in the state's scratch buffer. Every
+    256 rounds both are re-derived densely from the rebuilt design matrix
+    as a drift check.
     """
-    if not np.isfinite(reward):
+    if not math.isfinite(reward):
         raise ValueError(f"non-finite reward {reward!r}")
     chi = state.chi[arm]
     u = state.A_inv @ chi
     s = float(chi @ u)
     state.logdetA += math.log1p(s)
-    state.A_inv -= np.outer(u, u) / (1.0 + s)
+    outer = np.multiply(u[:, None], u, out=state._outer)
+    outer /= 1.0 + s
+    state.A_inv -= outer
     state.b += chi * reward
     state.counts[arm] += 1
     state.t += 1
@@ -247,7 +269,8 @@ def update(state: DesignState, arm: int, reward: float) -> None:
 
 def estimate(state: DesignState) -> np.ndarray:
     """Ridge estimate A^-1 b with negative entries clipped to zero."""
-    return np.clip(state.A_inv @ state.b, 0.0, None)
+    theta = state.A_inv @ state.b
+    return np.maximum(theta, 0.0, out=theta)
 
 
 def confidence_radius(state: DesignState) -> float:
@@ -348,7 +371,7 @@ def run_dslin(
     state = init_state(G, family, params)
     diag = DsLinDiagnostics(est_err_trace=[] if w_true is not None else None, state=state)
     for arm in range(m):
-        reward = oracle.sample_edges(family.edge_sets[arm])
+        reward = oracle.sample_edges(family.edge_index[arm])
         update(state, arm, reward)
 
     incumbent: tuple[int, ...] | None = None
@@ -356,7 +379,7 @@ def run_dslin(
         what = estimate(state)
         # the estimate moves little per round, so the last incumbent is
         # usually still optimal and one max-flow call confirms it
-        res = exact_densest(G, what, start=incumbent)
+        res = _densest(G, what, incumbent)
         if res.subset != incumbent:
             incumbent = res.subset
             chi_hat = _indicator(m, induced_edges(G, incumbent))
@@ -379,7 +402,7 @@ def run_dslin(
             diag.stopped = True
             break
         arm = select_arm(state, family)
-        reward = oracle.sample_edges(family.edge_sets[arm])
+        reward = oracle.sample_edges(family.edge_index[arm])
         update(state, arm, reward)
 
     diag.iterations = state.t

@@ -24,6 +24,7 @@ from .graph import Graph, as_weight_vector
 NOISE_KINDS = ("gaussian-per-edge", "none")
 
 _SEED_MASK = (1 << 64) - 1
+_NOT_INTEGERS = "edge indices must be integers, not bools or floats"
 
 
 @dataclass(frozen=True)
@@ -76,21 +77,58 @@ class SamplingOracle:
         self._bitgen.state = self._state
         return self._rng.normal(0.0, self.noise.R, size=size)
 
-    def sample_edges(self, F) -> float:
-        """One noisy observation of the edge subset F (ascending-index sum)."""
-        idxs = sorted(int(e) for e in F)
-        if not idxs:
+    def _edge_index(self, F) -> np.ndarray:
+        """F as an ascending ``np.intp`` array of distinct edge indices of
+        the graph, or a ``ValueError`` that names what is wrong with it.
+
+        An integer array is checked with a few array operations and, when
+        already ascending, not copied. Any other form is read as a list and
+        sorted and checked as one, which is cheaper for the short stars
+        DS-SR queries. Bool and float entries are refused, not truncated.
+        """
+        if isinstance(F, np.ndarray):
+            if F.ndim != 1:
+                raise ValueError("edge subset must be a flat collection of edge indices")
+            if F.size and F.dtype.kind not in "iu":
+                raise ValueError(_NOT_INTEGERS)
+            idx = F
+            if F.size > 1 and not (F[:-1] < F[1:]).all():
+                idx = np.sort(F)
+                if (idx[:-1] == idx[1:]).any():
+                    raise ValueError("edge subset contains duplicates")
+        else:
+            items = F if isinstance(F, (list, tuple)) else list(F)
+            for kind in set(map(type, items)):
+                if kind is not int and (not issubclass(kind, (int, np.integer)) or issubclass(kind, bool)):
+                    raise ValueError(_NOT_INTEGERS)
+            idx = sorted(items)
+            if len(idx) > 1 and len(set(idx)) != len(idx):
+                raise ValueError("edge subset contains duplicates")
+        if not len(idx):
             raise ValueError("cannot sample an empty edge subset")
-        if len(set(idxs)) != len(idxs):
-            raise ValueError("edge subset contains duplicates")
-        if idxs[0] < 0 or idxs[-1] >= self.graph.m:
+        if idx[0] < 0 or idx[-1] >= self.graph.m:
             raise ValueError("edge index out of range")
-        vals = self._w[idxs]
+        return idx if isinstance(idx, np.ndarray) else np.array(idx, dtype=np.intp)
+
+    def sample_edges(self, F) -> float:
+        """One noisy observation of the edge subset F, summed in ascending
+        index order.
+
+        F is a nonempty collection of distinct edge indices in any order:
+        a list, a tuple or any other iterable of ints, or a 1-D integer
+        numpy array. An ascending ``np.intp`` array, such as
+        ``ArmFamily.edge_index`` holds, is the cheapest form. A bool or
+        float entry, an empty or repeated subset and an index outside the
+        graph raise ``ValueError`` and draw no noise.
+        """
+        idx = self._edge_index(F)
+        size = idx.size
+        vals = self._w[idx]
         if self.noise.kind == "gaussian-per-edge":
-            vals = vals + self._noise_for(len(idxs))
+            vals += self._noise_for(size)
         obs = float(vals.sum())
         self.total_queries += 1
-        self.histogram[len(idxs)] = self.histogram.get(len(idxs), 0) + 1
+        self.histogram[size] = self.histogram.get(size, 0) + 1
         return obs
 
 

@@ -13,8 +13,12 @@ handful of max-flow calls. All capacities are integers (weights are
 pre-scaled and rounded), so the iteration and the optimality test are exact
 on the rounded instance.
 
-Four things keep the repeated solves cheap:
+Five things keep the repeated solves cheap:
 
+- Checked once. ``exact_densest`` validates its weights and start and hands
+  them to a private core, which DS-Lin's rounds call directly with their own
+  clipped estimate and last incumbent. The core reads the reported value
+  and the tie-break's integer weight check from one edge mask.
 - Warm start. The iteration may start from any nonempty set, which a local
   search (add or drop one vertex while that raises the density) polishes
   first; a start that is then optimal costs a single max-flow call, which
@@ -36,7 +40,9 @@ Four things keep the repeated solves cheap:
   sink arc of r, not both, and removes M from the residual network
   altogether. One greedy pass then pushes what it can along the two-hop
   paths s->u->v->t, which leaves Dinic a few longer augmenting paths instead
-  of dozens of short ones.
+  of dozens of short ones. From a warm flow, which leaves little to route,
+  the pass also tries the three-hop paths s->u->v->x->t, which in DS-Lin's
+  rounds leaves Dinic little or nothing to route.
 
 Ties are broken toward the smallest cardinality set, then lexicographically
 smallest membership. At the optimal guess every maximizer is the source side
@@ -45,8 +51,11 @@ no vertex; the minimal maximizer containing a vertex u is the closure of
 {s, u}, and the union of all maximizers is the set of vertices that cannot
 reach t. When the union is strongly connected in the residual network, which
 is the case exactly when the maximizer is unique, it is the answer, found
-with one search each way; otherwise the closures of its vertices are
-compared, which enumerates every minimum-cardinality maximizer. The
+with one search along the arcs with residual capacity both ways or else one
+search each way; otherwise the closures of its vertices are compared, which
+enumerates every minimum-cardinality maximizer. The search for the vertices
+that reach t ends once it has found all n - k of them, k the size of a set
+known to attain the optimum, since that set lies in the union. The
 tie-break does not depend on the start or on which maximum flow was found:
 Dinkelbach ends at the unique optimal p/q of the rounded instance, and the
 sets read off the residual network (reachable from s, reaching t, and each
@@ -63,6 +72,7 @@ and is exact in integer arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -104,18 +114,6 @@ def _weighted_degrees(gadget: _Gadget, w: np.ndarray) -> np.ndarray:
     # endpoints interleaved in edge order, so each vertex sums its edges in
     # ascending index order, as a per-edge loop would
     return np.bincount(gadget.ends, weights=np.repeat(w, 2), minlength=gadget.n)
-
-
-def _integer_scale(gadget: _Gadget, w: np.ndarray) -> int:
-    """Scale factor K so q*M-sized capacities keep max-flow values in int64."""
-    n = gadget.n
-    max_dw = float(_weighted_degrees(gadget, w).max()) if n else 0.0
-    if max_dw <= 0.0:
-        return _SCALE_CAP
-    K = int(min(_SCALE_CAP, _FLOW_HEADROOM / (4.0 * n * n * max_dw)))
-    if K < 1:
-        raise ValueError("weights too large for the integer-scaled flow solver")
-    return K
 
 
 def peeling_trace(G: Graph, w) -> PeelingTrace:
@@ -261,11 +259,13 @@ class _Gadget:
     of the sink arcs, for the search of the vertices that reach t. A vertex
     lists its sink arc first, so a search that can end at t does so at once.
 
-    ``ends`` holds the edge endpoints interleaved in edge order, u0 v0 u1
-    v1 ..., which are the tails of the edge arcs, and ``out[u]`` the sink
-    arc of each neighbour v of u with the arc u->v. ``flow`` is the residual
-    capacity of each edge arc, cap[4n:], at the end of the last warm max
-    flow (None before the first); it holds that flow and its capacities.
+    ``ends`` holds the edge endpoints interleaved in edge
+    order, u0 v0 u1 v1 ..., which are the tails of the edge arcs; ``eu``
+    and ``ev`` hold them apart. ``two_hop[u]`` lists each neighbour v of u
+    with its sink arc and the arc u->v. ``flow`` is the residual capacity
+    of each edge arc u->v, cap[4n::2], at the end of the last warm max flow
+    (None before the first), and ``flow_caps`` the capacities q*c it was
+    found at: the flow on edge e is flow_caps[e] - flow[e].
     """
 
     def __init__(self, G: Graph):
@@ -289,17 +289,26 @@ class _Gadget:
             self.adj[u + 1].append(4 * n + 2 * e)
             self.adj[v + 1].append(4 * n + 2 * e + 1)
         self.ends = np.asarray(G.edges, dtype=np.intp).reshape(-1)
-        self.out = [
-            [(2 * n + 2 * v, 4 * n + 2 * e + (u > v)) for v, e in nbrs] for u, nbrs in enumerate(G.adjacency)
+        self.eu, self.ev = self.ends[0::2].copy(), self.ends[1::2].copy()
+        self.two_hop = [
+            [(v, 2 * n + 2 * v, 4 * n + 2 * e + (u > v)) for v, e in nbrs] for u, nbrs in enumerate(G.adjacency)
         ]
         self.flow: list[int] | None = None
+        self.flow_caps: np.ndarray | None = None
+        self._inside_of: list[int] | None = None
+        self._inside: np.ndarray | None = None
 
-    def density(self, w: np.ndarray, members: list[int]) -> float:
-        """``graph.density`` of a nonempty list of distinct vertices: the
-        same edges, summed in the same order."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[members] = True
-        return float(w[mask[self.ends[0::2]] & mask[self.ends[1::2]]].sum()) / len(members)
+    def inside(self, members: list[int]) -> np.ndarray:
+        """Read-only mask of the edges with both ends in ``members``:
+        ``w[mask].sum()`` sums the edges ``graph.density`` sums, in the same
+        order. The last one is kept, since DS-Lin's incumbent rarely
+        changes."""
+        if members != self._inside_of:
+            mask = np.zeros(self.n, dtype=bool)
+            mask[members] = True
+            self._inside_of, self._inside = list(members), mask[self.eu] & mask[self.ev]
+            self._inside.flags.writeable = False
+        return self._inside
 
 
 _gadget_cache: tuple[Graph, _Gadget] | None = None
@@ -312,7 +321,7 @@ def _gadget_for(G: Graph) -> _Gadget:
     flow, and a new graph that happens to get a freed graph's id() does not.
     """
     global _gadget_cache
-    if _gadget_cache is None or _gadget_cache[0] != G:
+    if _gadget_cache is None or (_gadget_cache[0] is not G and _gadget_cache[0] != G):
         _gadget_cache = (G, _Gadget(G))
     return _gadget_cache[1]
 
@@ -342,7 +351,7 @@ class _CutSolver:
         c, adjacency = self.c, self.G.adjacency
         return sum(c[idx] for u in members for v, idx in adjacency[u] if v > u and v in inside)
 
-    def _capacities(self, p: int, q: int) -> list[int]:
+    def _capacities(self, p: int, q: int) -> tuple[list[int], np.ndarray]:
         """Residual capacities at guess p/q around a starting flow.
 
         A warm solver starts from the stored flow scaled to the new edge
@@ -352,88 +361,126 @@ class _CutSolver:
         arc of r, not both, for r = 2p - q*d(v) + (net flow out of v): the
         direct paths s->v->t are saturated and M leaves the residual
         network. A greedy pass, source vertex by source vertex, then
-        saturates what it can of the s->u->v->t paths. Arcs into s and out
-        of t start empty: no s-t path or closure needs them.
+        saturates what it can of the s->u->v->t paths and, from a stored
+        flow, where little is left to route, of the s->u->v->x->t paths
+        too. Arcs into s and out of t start empty: no s-t path or closure
+        needs them. Returns the residual capacities and the edge
+        capacities q*c.
         """
         gadget = self.gadget
         n = gadget.n
         qc = q * self.what
-        cap = np.zeros(4 * n + 2 * len(qc), dtype=np.int64)
-        arcs = cap[4 * n :]
-        arcs[0::2] = qc
-        arcs[1::2] = qc
-        if self.warm and gadget.flow is not None:
-            # the old residuals are q0*c0 - f and q0*c0 + f
-            old = np.array(gadget.flow, dtype=np.int64)
-            fwd0, bwd0 = old[0::2], old[1::2]
-            f = ((bwd0 - fwd0) / np.maximum(bwd0 + fwd0, 1) * qc).astype(np.int64)
+        arcs = np.empty(2 * len(qc), dtype=np.int64)
+        warm = self.warm and gadget.flow is not None
+        if warm:
+            caps0 = gadget.flow_caps
+            f = ((caps0 - np.array(gadget.flow, dtype=np.int64)) / np.maximum(caps0, 1) * qc).astype(np.int64)
             np.minimum(f, qc, out=f)
             np.maximum(f, -qc, out=f)
-            arcs[0::2] -= f
-            arcs[1::2] += f
+            np.subtract(qc, f, out=arcs[0::2])
+            np.add(qc, f, out=arcs[1::2])
+        else:
+            arcs[0::2] = qc
+            arcs[1::2] = qc
         r = np.full(n, 2 * p, dtype=np.int64)
         np.subtract.at(r, gadget.ends, arcs)  # each arc's residual from its tail
-        np.maximum(-r, 0, out=cap[0 : 2 * n : 2])
-        np.maximum(r, 0, out=cap[2 * n : 4 * n : 2])
-        cap = cap.tolist()
+        cap = [0] * (4 * n) + arcs.tolist()
+        sources = []
+        for v, x in enumerate(r.tolist()):
+            if x < 0:
+                cap[2 * v] = -x
+                sources.append(v)
+            else:
+                cap[2 * n + 2 * v] = x
         if self.force is not None:
             x = self.force
             cap[2 * n + 2 * x] = 0
             cap[2 * x] = 1 + sum(cap[: 4 * n]) + 2 * int(qc.sum())  # uncuttable
-        for u in range(n):
-            if not cap[2 * u]:
-                continue
-            for tv, a in gadget.out[u]:
-                if cap[tv]:
-                    f = min(cap[2 * u], cap[a], cap[tv])
-                    cap[2 * u] -= f
+            if x not in sources:
+                bisect.insort(sources, x)
+        two_hop = gadget.two_hop
+        for u in sources:
+            left = cap[2 * u]
+            for _, tv, a in two_hop[u]:
+                if cap[tv] and cap[a]:
+                    f = min(left, cap[a], cap[tv])
+                    left -= f
                     cap[tv] -= f
                     cap[a] -= f
                     cap[a ^ 1] += f
-                    if not cap[2 * u]:
+                    if not left:
                         break
-        return cap
+            if left and warm:
+                for v, _, a in two_hop[u]:
+                    if not cap[a]:
+                        continue
+                    for _, tx, b in two_hop[v]:
+                        if cap[tx] and cap[b]:
+                            f = min(left, cap[a], cap[b], cap[tx])
+                            left -= f
+                            cap[tx] -= f
+                            cap[b] -= f
+                            cap[b ^ 1] += f
+                            cap[a] -= f
+                            cap[a ^ 1] += f
+                            if not (left and cap[a]):
+                                break
+                    if not left:
+                        break
+            cap[2 * u] = left
+        return cap, qc
 
-    def solve(self, start=None, tie_break: bool = True) -> list[int]:
+    def solve(self, start=None, tie_break: bool = True) -> tuple[list[int], np.ndarray]:
         """Dinkelbach iteration from ``start`` (greedy peel when None).
 
-        With ``tie_break`` the canonical maximizer is returned, otherwise the
-        union of all maximizers; neither depends on the start.
+        Returns the canonical maximizer with ``tie_break``, otherwise the
+        union of all maximizers, and its edge mask (``_Gadget.inside``);
+        neither depends on the start.
         """
-        if not any(self.c):  # every set has density 0; no max-flow call
-            return [self.force if self.force is not None else 0]
-        start = set(_greedy_start(self.gadget, self.what.astype(np.float64)) if start is None else start)
-        if self.force is not None:
-            start.add(self.force)
-        p, q = self._polish(start)
-        g = math.gcd(p, q)
-        p, q = p // g, q // g
         gadget = self.gadget
+        if not any(self.c):  # every set has density 0; no max-flow call
+            members = [self.force if self.force is not None else 0]
+            return members, gadget.inside(members)
+        if start is None:
+            start = _greedy_start(gadget, self.what.astype(np.float64))
+        if self.force is not None:
+            start = set(start) | {self.force}
+        p, size = self._polish(start)
+        g = math.gcd(p, size)
+        p, q = p // g, size // g
         for _ in range(200):
-            cap = self._capacities(p, q)
+            cap, qc = self._capacities(p, q)
             reach_s = _maxflow(gadget.to, gadget.adj, cap, 0, gadget.sink)
             self.flow_calls += 1
             if self.warm:
-                gadget.flow = cap[4 * gadget.n :]
-            members = [x - 1 for x in reach_s[1:]]
-            if members:
+                gadget.flow, gadget.flow_caps = cap[4 * gadget.n :: 2], qc
+            if len(reach_s) > 1:
+                members = [x - 1 for x in reach_s[1:]]
                 weight = self.weight_of(members)
                 if q * weight > p * len(members):
-                    p, q = weight, len(members)
-                    g = math.gcd(p, q)
-                    p, q = p // g, q // g
+                    size = len(members)
+                    g = math.gcd(weight, size)
+                    p, q = weight // g, size // g
                     continue
-            reach_t = self._search(cap, gadget.sink, back=True)[1]
+            # p/q is optimal and a set of ``size`` vertices attains it, so
+            # at most n - size vertices reach t: once that many are found,
+            # the union of the maximizers is that set
+            reach_t = self._search(cap, gadget.sink, back=True, stop=gadget.n - size + 1)[1]
             union = [x for x in range(1, gadget.sink) if not reach_t[x]]
             if not tie_break:
-                return [x - 1 for x in union]
-            return self._canonical(cap, reach_t, union, p, q)
+                members = [x - 1 for x in union]
+                return members, gadget.inside(members)
+            members = self._canonical(cap, reach_t, union)
+            inside = gadget.inside(members)
+            # the tie-break picks a maximizer: its rounded density is p/q
+            assert q * int(self.what[inside].sum()) == p * len(members)
+            return members, inside
         raise RuntimeError("density iteration failed to converge")
 
     def _polish(self, members) -> tuple[int, int]:
-        """Local search from ``members``: add or drop the vertex that raises
-        the density most, while one does; returns the weight and size of the
-        set it ends at.
+        """Local search from ``members``, distinct vertices: add or drop the
+        vertex that raises the density most, while one does; returns the
+        weight and size of the set it ends at.
 
         An optimum under nearby weights is usually one move from the new
         optimum, so the first max-flow call can prove it optimal.
@@ -448,9 +495,17 @@ class _CutSolver:
         weight = sum(into[u] for u in members) // 2
         size = len(members)
         while True:
+            # adding a vertex raises the density exactly when size * into
+            # exceeds the weight, and dropping one when it falls short; the
+            # best move is the first of the densest among those
+            better = [
+                v
+                for v, (x, ins) in enumerate(zip(into, inside))
+                if (size * x < weight if ins else size * x > weight)
+            ]
             move = None
             num, den = weight, size
-            for v in range(self.G.n):
+            for v in better:
                 if not inside[v]:
                     cw, cs = weight + into[v], size + 1
                 elif size > 1 and v != self.force:
@@ -468,11 +523,17 @@ class _CutSolver:
             weight, size = num, den
 
     def _search(
-        self, cap: list[int], root: int, back: bool = False, avoid: list[bool] | None = None
+        self,
+        cap: list[int],
+        root: int,
+        back: bool = False,
+        avoid: list[bool] | None = None,
+        stop: int | None = None,
     ) -> tuple[list[int], list[bool]]:
         """Nodes that ``root`` reaches in the residual network, or with
         ``back`` the nodes that reach ``root``, in search order and as flags
-        by node; never through the nodes flagged in ``avoid``."""
+        by node; never through the nodes flagged in ``avoid``. The search
+        ends early once it has found ``stop`` nodes, root included."""
         to, adj = self.gadget.to, self.gadget.adj
         flip = 1 if back else 0
         seen = [False] * len(adj) if avoid is None else avoid.copy()
@@ -484,26 +545,45 @@ class _CutSolver:
                 if not seen[v] and cap[a ^ flip]:
                     seen[v] = True
                     queue.append(v)
+            if len(queue) == stop:
+                break
         return queue, seen
 
-    def _canonical(self, cap, reach_t, union, p: int, q: int) -> list[int]:
+    def _two_way_reach(self, cap: list[int], root: int) -> int:
+        """How many nodes ``root`` reaches along arcs with residual capacity
+        both ways; each of them also reaches ``root``."""
+        to, adj = self.gadget.to, self.gadget.adj
+        seen = [False] * len(adj)
+        seen[root] = True
+        queue = [root]
+        for u in queue:
+            for a in adj[u]:
+                v = to[a]
+                if not seen[v] and cap[a] and cap[a ^ 1]:
+                    seen[v] = True
+                    queue.append(v)
+        return len(queue)
+
+    def _canonical(self, cap, reach_t, union) -> list[int]:
         """Smallest-cardinality, then lexicographic, maximizer extraction.
 
         Runs at the optimal guess without a forced vertex, where the closure
         of s holds no vertex. The union of all maximizers is closed, so a
         vertex of it that reaches all of it and is reached from all of it
-        makes it strongly connected and the only candidate. Otherwise each
+        makes it strongly connected and the only candidate; one search along
+        the arcs with residual both ways usually shows that. Otherwise each
         vertex of the union gives one candidate: its residual closure.
         ``reach_t`` flags the nodes that reach t, and ``union`` lists the
         other vertices' nodes.
         """
         root, size = union[0], len(union)
-        if len(self._search(cap, root)[0]) == size and len(self._search(cap, root, True, reach_t)[0]) == size:
+        if self._two_way_reach(cap, root) == size or (
+            len(self._search(cap, root)[0]) == size and len(self._search(cap, root, True, reach_t)[0]) == size
+        ):
             members = [i - 1 for i in union]
         else:
             closures = (sorted(x - 1 for x in self._search(cap, i)[0]) for i in union)
             members = min((len(c), c) for c in closures)[1]
-        assert q * self.weight_of(members) == p * len(members)
         return members
 
 
@@ -533,10 +613,16 @@ def _greedy_start(gadget: _Gadget, w: np.ndarray) -> list[int]:
 def _rounded(gadget: _Gadget, w: np.ndarray) -> np.ndarray:
     # shift by 2^e, the least e >= 0 with max(w) * 2^e >= 1/2, so that small
     # weights keep as many bits as weights near 1; the shift is exact, and
-    # e = 0 once max(w) >= 1/2
+    # e = 0 once max(w) >= 1/2. The scale K keeps q*M-sized capacities and
+    # max-flow values in int64
     e = max(0, -math.frexp(float(w.max(initial=0.0)))[1])
     shifted = np.ldexp(w, e) if e else w
-    return np.rint(shifted * _integer_scale(gadget, shifted)).astype(np.int64)
+    n = gadget.n
+    max_dw = float(_weighted_degrees(gadget, shifted).max())
+    K = _SCALE_CAP if max_dw <= 0.0 else int(min(_SCALE_CAP, _FLOW_HEADROOM / (4.0 * n * n * max_dw)))
+    if K < 1:
+        raise ValueError("weights too large for the integer-scaled flow solver")
+    return np.rint(shifted * K).astype(np.int64)
 
 
 def exact_densest(G: Graph, w, start=None) -> DensestResult:
@@ -559,10 +645,19 @@ def exact_densest(G: Graph, w, start=None) -> DensestResult:
         start = as_vertex_set(G, start)
         if not start:
             raise ValueError("start set must be nonempty")
+    return _densest(G, w, start)
+
+
+def _densest(G: Graph, w: np.ndarray, start: tuple[int, ...] | None) -> DensestResult:
+    """``exact_densest`` on inputs it would accept unchanged: ``w`` a finite
+    nonnegative float64 vector of length m, ``start`` None or a nonempty
+    ascending tuple of distinct vertices. DS-Lin calls it with its own
+    clipped estimate and last incumbent, which are that by construction."""
     gadget = _gadget_for(G)
     solver = _CutSolver(gadget, _rounded(gadget, w), warm=True)
-    subset = solver.solve(start, tie_break=True)
-    return DensestResult(subset=tuple(subset), value=gadget.density(w, subset), flow_calls=solver.flow_calls)
+    subset, inside = solver.solve(start, tie_break=True)
+    value = float(w[inside].sum()) / len(subset)
+    return DensestResult(subset=tuple(subset), value=value, flow_calls=solver.flow_calls)
 
 
 def second_best_density(G: Graph, w, best) -> float:
@@ -593,9 +688,9 @@ def second_best_density(G: Graph, w, best) -> float:
             without_v = what.copy()
             without_v[[idx for _, idx in G.adjacency[v]]] = 0
             solver = _CutSolver(gadget, without_v)
-            cand = solver.solve(best_members - {v} or None, tie_break=False)
+            cand, inside = solver.solve(best_members - {v} or None, tie_break=False)
         else:
             solver = _CutSolver(gadget, what, force=v)
-            cand = solver.solve(best_members | {v}, tie_break=False)
-        runner_value = max(runner_value, gadget.density(w, cand))
+            cand, inside = solver.solve(best_members | {v}, tie_break=False)
+        runner_value = max(runner_value, float(w[inside].sum()) / len(cand))
     return runner_value

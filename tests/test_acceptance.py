@@ -269,6 +269,7 @@ def test_criterion_09_incremental_design_updates_track_dense():
             counts=np.zeros(n_arms, dtype=np.int64),
             chi=chi,
             support=np.arange(n_arms),
+            alloc=np.full(n_arms, 1.0 / n_arms),
         )
         for _ in range(int(rng.integers(5, 41))):
             update(state, int(rng.integers(n_arms)), float(rng.normal()))

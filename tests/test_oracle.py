@@ -54,6 +54,17 @@ class TestQueries:
         with pytest.raises(ValueError):
             oracle.sample_edges([0, 4])
 
+    def test_non_integer_indices_refused(self):
+        # int() truncation would read [0.9, 2] as edges 0 and 2 and
+        # [True, 2] as edges 1 and 2 of the triangle
+        triangle = Graph.from_edges([(0, 1), (0, 2), (1, 2)], 3)
+        oracle = make_oracle(triangle, np.array([1.0, 2.0, 4.0]), noise="none", seed=0)
+        for F in ([0.9, 2], [True, 2], (np.True_, 2), np.array([0.9, 2.0]), np.array([True, False, True])):
+            with pytest.raises(ValueError, match="must be integers"):
+                oracle.sample_edges(F)
+        assert oracle.total_queries == 0 and oracle.histogram == {}
+        assert oracle.sample_edges([np.int64(2), 0]) == oracle.sample_edges(np.array([0, 2], dtype=np.uint8)) == 5.0
+
     def test_weights_are_copied(self, lollipop):
         w = np.ones(4)
         oracle = make_oracle(lollipop, w, noise="none", seed=0)
@@ -139,6 +150,43 @@ class TestNoiseStream:
         for _ in range(200):
             F = random_query(rng, karate.m)
             assert oracle.sample_edges(F) == sum(int(w[e]) for e in F)
+
+
+REFUSALS = {
+    "cannot sample an empty edge subset": lambda F, m: [],
+    "edge subset contains duplicates": lambda F, m: F + F[:1],
+    "edge index out of range": lambda F, m: F + [m],
+    "edge indices must be integers, not bools or floats": lambda F, m: F[:-1] + [F[-1] + 0.5],
+}
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_list_tuple_and_array_queries_agree(seed, data):
+    # fresh same-seed oracles given one edge subset, in any order, as a
+    # list, a tuple or an index array see the same observations, counts and
+    # histogram; the refusals read the same in every form
+    rng = np.random.default_rng(seed % 2**32)
+    G = random_graph(rng, int(rng.integers(3, 9)))
+    w = rng.uniform(0.0, 5.0, size=G.m)
+    subset = st.permutations(range(G.m)).flatmap(lambda p: st.integers(1, len(p)).map(lambda k: p[:k]))
+    subsets = data.draw(st.lists(subset, min_size=1, max_size=3))
+    forms = (list, tuple, lambda F: np.array(F, dtype=np.intp), lambda F: np.array(sorted(F), dtype=np.intp))
+    seen = []
+    for form in forms:
+        oracle = make_oracle(G, w, seed=seed)
+        obs = [oracle.sample_edges(form(F)) for F in subsets]
+        assert all(type(size) is int for size in oracle.histogram)
+        seen.append((obs, oracle.total_queries, oracle.histogram))
+    assert all(s == seen[0] for s in seen)
+    oracle = make_oracle(G, w, seed=seed)
+    for message, bad in REFUSALS.items():
+        F = bad(list(subsets[0]), G.m)
+        for form in (list, tuple, np.array):
+            with pytest.raises(ValueError) as refusal:
+                oracle.sample_edges(form(F))
+            assert str(refusal.value) == message
+    assert oracle.total_queries == 0
 
 
 class TestCounters:

@@ -10,7 +10,10 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 # dslin lines, which now hash the stop margins too, were re-recorded when
 # R' became sqrt(max_a |F_a|) * R and the stop test's lhs the unclipped
 # ridge estimate (incumbents and queries unchanged); the two family lines
-# on the commit before the arm family's rank test was batched
+# on the commit before the arm family's rank test was batched; the m + 800
+# dslin line, the benchmark's DS-Lin setting, on the commit before arm
+# queries went through index arrays and the per-round solve through the
+# solver's unchecked core
 QUICK_DIGESTS = """\
 dssr/karate/gaussian-per-edge/seed0 b2fa851701b675289ee7c1b4a18b355034b82bff2db24ad277c654742b202b8f
 dssr/karate/none/seed0 a50181fa5f4bc4e2b88346c9fefc13e85a37c29570d1aee06d4e802d431ff4bd
@@ -20,6 +23,7 @@ dssr/polbooks/gaussian-per-edge/seed0 8775ec2f2f3345d51e577eb1c8306eccddb093899c
 dssr/polbooks/none/seed0 4dbfeb15a0deebc5a0b95f2c011ca9871dbaf5eebc0b47eee3b6aa902849542d
 dslin-conservative/karate/gaussian-per-edge/seed0 bdd50e223a86b2aa49118a1b51d53add1ba0c386f9d18b67cf5fd04f6ed69d64
 dslin-exact-second-best/karate/gaussian-per-edge/seed0 b43ca25ff5b6b1c065b8a14d2ca5fe27863e7d45dc4e14771883f48ee6561ca3
+dslin-conservative/karate/gaussian-per-edge/m+800/seed0 d292840d91eb3b04b789ec3f934d3474097079667729ce2f5a443575d1396f55
 naive/karate/gaussian-per-edge/seed0 c0af627d3040b6b88e88ee2ba527ee3c570189403c356417836c8def3c042d9e
 r-oracle/karate/gaussian-per-edge/seed0 1b73bb29965e6be3dc0946e5c54f9fbf308a6dbe007c3cd433624dbac069abd6
 exact/karate 9291ad55a69a4c4b8cd5fe44c1f221ea25cbfa4f8de9964a83797163cae91d89
