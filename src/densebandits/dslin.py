@@ -249,7 +249,8 @@ def update(state: DesignState, arm: int, reward: float) -> None:
     u = state.A_inv @ chi
     s = float(chi @ u)
     state.logdetA += math.log1p(s)
-    outer = np.multiply(u[:, None], u, out=state._outer)
+    # u_j * u_i, bit for bit u_i * u_j; numpy runs this order faster
+    outer = np.multiply(u, u[:, None], out=state._outer)
     outer /= 1.0 + s
     state.A_inv -= outer
     state.b += chi * reward

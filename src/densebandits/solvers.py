@@ -259,13 +259,13 @@ class _Gadget:
     of the sink arcs, for the search of the vertices that reach t. A vertex
     lists its sink arc first, so a search that can end at t does so at once.
 
-    ``ends`` holds the edge endpoints interleaved in edge
-    order, u0 v0 u1 v1 ..., which are the tails of the edge arcs; ``eu``
-    and ``ev`` hold them apart. ``two_hop[u]`` lists each neighbour v of u
-    with its sink arc and the arc u->v. ``flow`` is the residual capacity
-    of each edge arc u->v, cap[4n::2], at the end of the last warm max flow
-    (None before the first), and ``flow_caps`` the capacities q*c it was
-    found at: the flow on edge e is flow_caps[e] - flow[e].
+    ``ends`` holds the edge endpoints interleaved in edge order, u0 v0 u1
+    v1 ..., which are the tails of the edge arcs; ``eu`` and ``ev`` hold
+    them apart. ``two_hop[u]`` lists each neighbour v of u with its sink arc
+    and the arc u->v. ``flow`` is the residual capacity of each edge arc
+    u->v, cap[4n::2], at the end of the last warm max flow (None before the
+    first), and ``flow_caps`` the capacities q*c it was found at: the flow
+    on edge e is flow_caps[e] - flow[e].
     """
 
     def __init__(self, G: Graph):
@@ -319,10 +319,12 @@ def _gadget_for(G: Graph) -> _Gadget:
 
     Keyed by value: an equal graph built anew reuses the arcs and the warm
     flow, and a new graph that happens to get a freed graph's id() does not.
+    An equal graph becomes the key, so its later calls skip the comparison.
     """
     global _gadget_cache
-    if _gadget_cache is None or (_gadget_cache[0] is not G and _gadget_cache[0] != G):
-        _gadget_cache = (G, _Gadget(G))
+    if _gadget_cache is None or _gadget_cache[0] is not G:
+        gadget = _gadget_cache[1] if _gadget_cache is not None and _gadget_cache[0] == G else _Gadget(G)
+        _gadget_cache = (G, gadget)
     return _gadget_cache[1]
 
 

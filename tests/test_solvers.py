@@ -368,6 +368,19 @@ def test_second_best_leaves_the_stored_flow_alone(karate):
     assert gadget.flow is stored and gadget.flow == kept
 
 
+def test_equal_graph_built_anew_takes_over_the_gadget(karate):
+    # an equal graph keeps the gadget and its warm flow and becomes the
+    # cache key; a different graph gets a gadget of its own
+    exact_densest(karate, knockout_weights(karate, seed=0))
+    gadget = solvers._gadget_for(karate)
+    again = Graph.from_edges(karate.edges, karate.n, karate.labels)
+    assert again == karate and again is not karate
+    assert solvers._gadget_for(again) is gadget and solvers._gadget_cache[0] is again
+    assert gadget.flow is not None
+    other = Graph.from_edges(karate.edges[1:], karate.n)
+    assert solvers._gadget_for(other) is not gadget
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11, 1e-14, 1e-20, 1e-300])
 def test_small_weights_solved_exactly(scale):
     # the integer scale follows the largest weight, so shrinking all
