@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, induced_edges
+from .graph import Graph, edge_mask
 from .solvers import _densest, second_best_density
 
 _EXACT_QP_LIMIT = 22
@@ -131,12 +131,6 @@ class DsLinDiagnostics:
     state: DesignState | None = None
 
 
-def _indicator(m: int, edge_idxs) -> np.ndarray:
-    chi = np.zeros(m)
-    chi[list(edge_idxs)] = 1.0
-    return chi
-
-
 def generate_arm_family(G: Graph, k: int, seed: int) -> ArmFamily:
     """Random rank-spanning family: sizes uniform on [k, n], members uniform,
     an arm kept only when it raises the span of the stacked indicators.
@@ -147,15 +141,14 @@ def generate_arm_family(G: Graph, k: int, seed: int) -> ArmFamily:
     m x m array. A candidate is projected off them by classical Gram-Schmidt
     applied twice, which keeps the rows orthonormal to working precision,
     and kept when its residual norm exceeds the 1e-8 rank cut. Its edges
-    are read from a vertex mask over the edge endpoints, so each edge set
-    is ascending, as ``induced_edges`` gives it."""
+    are read from ``graph.edge_mask``, so each edge set is ascending, as
+    ``induced_edges`` gives it."""
     if not (2 < k <= G.n):
         raise ValueError(f"need 2 < k <= n, got k={k}, n={G.n}")
     if G.m == 0:
         raise ValueError("the graph has no edges, so no arm has an edge to observe")
     rng = np.random.default_rng(seed)
     max_attempts = 1000 * G.m + 10000
-    eu, ev = np.asarray(G.edges, dtype=np.intp).reshape(-1, 2).T
     Q = np.empty((G.m, G.m))
     arms: list[tuple[int, ...]] = []
     edge_sets: list[tuple[int, ...]] = []
@@ -165,9 +158,7 @@ def generate_arm_family(G: Graph, k: int, seed: int) -> ArmFamily:
             break
         size = int(rng.integers(k, G.n + 1))
         members = rng.choice(G.n, size=size, replace=False)
-        mask = np.zeros(G.n, dtype=bool)
-        mask[members] = True
-        es = np.flatnonzero(mask[eu] & mask[ev])
+        es = np.flatnonzero(edge_mask(G, members))
         if not es.size:
             continue
         r = np.zeros(G.m)
@@ -199,7 +190,11 @@ def default_weight_norm_bound(G: Graph) -> float:
 def init_state(G: Graph, family: ArmFamily, params: DsLinParams) -> DesignState:
     m = G.m
     L = params.L if params.L is not None else default_weight_norm_bound(G)
-    chi = np.stack([_indicator(m, es) for es in family.edge_index])
+    masks = [edge_mask(G, arm) for arm in family.arms]
+    # the oracle sums each arm's edge set, so the design must read the same edges
+    if not all(np.array_equal(np.flatnonzero(mask), es) for mask, es in zip(masks, family.edge_index)):
+        raise ValueError("an arm's edge set is not the set of edges the arm induces")
+    chi = np.stack(masks).astype(np.float64)
     support = np.flatnonzero(family.p > 0)
     return DesignState(
         G=G,
@@ -383,7 +378,7 @@ def run_dslin(
         res = _densest(G, what, incumbent)
         if res.subset != incumbent:
             incumbent = res.subset
-            chi_hat = _indicator(m, induced_edges(G, incumbent))
+            chi_hat = edge_mask(G, incumbent).astype(np.float64)
         diag.flow_calls += res.flow_calls
         C = confidence_radius(state)
         diag.ct_trace.append(C)

@@ -32,7 +32,7 @@ import numpy as np
 from .baselines import run_naive, run_r_oracle
 from .dslin import STOP_MODES, DsLinParams, generate_arm_family, run_dslin
 from .dssr import default_budget, run_dssr
-from .graph import Graph, atomic_write, density, induced_edges, load_edge_list, load_weights
+from .graph import Graph, atomic_write, density, edge_mask, load_edge_list, load_weights
 from .oracle import NoiseModel, make_oracle
 from .solvers import brute_force_densest, exact_densest, peeling_trace
 
@@ -246,9 +246,7 @@ def knockout_weights(G: Graph, seed: int) -> np.ndarray:
     away from S*. Deterministic given the seed.
     """
     unit = np.ones(G.m)
-    star = exact_densest(G, unit).subset
-    inside = np.zeros(G.m, dtype=bool)
-    inside[induced_edges(G, star)] = True
+    inside = edge_mask(G, exact_densest(G, unit).subset)
     rng = np.random.default_rng(seed)
     low = rng.uniform(1.0, 20.0, size=G.m)
     high = rng.uniform(1.0, 100.0, size=G.m)

@@ -3,14 +3,17 @@
 Vertices are dense integer indices 0..n-1; original file tokens are kept in
 ``Graph.labels``. Edges are unordered pairs stored once as (u, v) with u < v,
 and a weight vector is a length-m nonnegative float array aligned with
-``Graph.edges``.
+``Graph.edges``. ``edge_mask`` is the one place that finds E(S), the edges
+with both ends in a vertex set S; ``induced_edges`` and ``density`` read it,
+and so do the solvers, the arm family and the knockout weights.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -45,6 +48,15 @@ class Graph:
     labels: tuple[str, ...]
     self_loops_dropped: int = 0
     duplicates_dropped: int = 0
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """Read-only ``np.intp`` array of the edge endpoints interleaved in
+        edge order, u0 v0 u1 v1 ..., built on first use; not a field, so
+        graph equality ignores it."""
+        ends = np.asarray(self.edges, dtype=np.intp).reshape(-1)
+        ends.flags.writeable = False
+        return ends
 
     @staticmethod
     def from_edges(
@@ -208,35 +220,46 @@ def save_weights(path: str | Path, G: Graph, w) -> None:
     atomic_write(path, "".join(lines))
 
 
+def _check_integers(items, what: str) -> None:
+    """Refuse a bool or non-integer entry, which ``int()`` would truncate."""
+    for kind in set(map(type, items)):
+        if kind is not int and (not issubclass(kind, (int, np.integer)) or issubclass(kind, bool)):
+            raise ValueError(f"{what} must be integers, not bools or floats")
+
+
 def as_vertex_set(G: Graph, S: Iterable[int]) -> tuple[int, ...]:
-    """Normalize a vertex collection to a sorted duplicate-free tuple."""
-    out = tuple(sorted({int(v) for v in S}))
+    """Normalize a vertex collection to a sorted duplicate-free tuple.
+    Bool and float entries are refused, not truncated."""
+    items = S if isinstance(S, (list, tuple)) else list(S)
+    _check_integers(items, "vertex indices")
+    out = tuple(sorted({int(v) for v in items}))
     if out and (out[0] < 0 or out[-1] >= G.n):
         raise ValueError(f"vertex index out of range for n={G.n}")
     return out
 
 
+def edge_mask(G: Graph, members) -> np.ndarray:
+    """Boolean mask over ``G.edges`` of the edges with both ends in
+    ``members``, a collection of valid vertex indices taken as given."""
+    inside = np.zeros(G.n, dtype=bool)
+    inside[np.asarray(members, dtype=np.intp)] = True
+    both = inside[G.ends]
+    return both[0::2] & both[1::2]
+
+
 def induced_edges(G: Graph, S: Iterable[int]) -> list[int]:
     """Edge indices with both endpoints in S, in ascending index order."""
-    members = set(as_vertex_set(G, S))
-    found: list[int] = []
-    for v in members:
-        for u, idx in G.adjacency[v]:
-            if u > v and u in members:
-                found.append(idx)
-    found.sort()
-    return found
+    return np.flatnonzero(edge_mask(G, as_vertex_set(G, S))).tolist()
 
 
 def density(G: Graph, w, S: Iterable[int]) -> float:
-    """Degree density w(E(S)) / |S| of a nonempty vertex set."""
+    """Degree density w(E(S)) / |S| of a nonempty vertex set, summing the
+    edges in ascending index order."""
     members = as_vertex_set(G, S)
     if not members:
         raise ValueError("density of the empty set is undefined")
-    w = np.asarray(w, dtype=np.float64)
-    idxs = induced_edges(G, members)
-    total = float(w[idxs].sum()) if idxs else 0.0
-    return total / len(members)
+    w = as_weight_vector(G, w)
+    return float(w[edge_mask(G, members)].sum()) / len(members)
 
 
 def star_edges(G: Graph, alive, v: int) -> list[int]:

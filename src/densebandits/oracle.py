@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, as_weight_vector
+from .graph import Graph, _check_integers, as_weight_vector
 
 NOISE_KINDS = ("gaussian-per-edge", "none")
 
 _SEED_MASK = (1 << 64) - 1
-_NOT_INTEGERS = "edge indices must be integers, not bools or floats"
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ class SamplingOracle:
             if F.ndim != 1:
                 raise ValueError("edge subset must be a flat collection of edge indices")
             if F.size and F.dtype.kind not in "iu":
-                raise ValueError(_NOT_INTEGERS)
+                raise ValueError("edge indices must be integers, not bools or floats")
             idx = F
             if F.size > 1 and not (F[:-1] < F[1:]).all():
                 idx = np.sort(F)
@@ -98,9 +97,7 @@ class SamplingOracle:
                     raise ValueError("edge subset contains duplicates")
         else:
             items = F if isinstance(F, (list, tuple)) else list(F)
-            for kind in set(map(type, items)):
-                if kind is not int and (not issubclass(kind, (int, np.integer)) or issubclass(kind, bool)):
-                    raise ValueError(_NOT_INTEGERS)
+            _check_integers(items, "edge indices")
             idx = sorted(items)
             if len(idx) > 1 and len(set(idx)) != len(idx):
                 raise ValueError("edge subset contains duplicates")

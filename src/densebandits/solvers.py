@@ -18,15 +18,16 @@ Five things keep the repeated solves cheap:
 - Checked once. ``exact_densest`` validates its weights and start and hands
   them to a private core, which DS-Lin's rounds call directly with their own
   clipped estimate and last incumbent. The core reads the reported value
-  and the tie-break's integer weight check from one edge mask.
+  and the tie-break's integer weight check from one ``graph.edge_mask``,
+  which also gives Dinkelbach the weight of each improving cut.
 - Warm start. The iteration may start from any nonempty set, which a local
   search (add or drop one vertex while that raises the density) polishes
   first; a start that is then optimal costs a single max-flow call, which
   proves it optimal. Cold solves start from a greedy peel.
-- Gadget reuse. The arc arrays and the edge endpoints depend only on the
-  graph, so they are built once and kept in a one-entry cache keyed by the
-  ``Graph`` value; each guess refills only the capacities. A forced vertex
-  gets a source arc no cut can afford.
+- Gadget reuse. The arc arrays depend only on the graph, so they are built
+  once and kept in a one-entry cache keyed by the ``Graph`` value; each
+  guess refills only the capacities, reading the edge endpoints from
+  ``Graph.ends``. A forced vertex gets a source arc no cut can afford.
 - Warm flow. The cache also keeps the edge flows of the last max flow of an
   ``exact_densest`` solve on that graph, with the capacities they were found
   at. The next such max flow starts from them, each scaled to its edge's new
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, as_vertex_set, as_weight_vector, star_edges
+from .graph import Graph, as_vertex_set, as_weight_vector, edge_mask, star_edges
 
 _SCALE_CAP = 2**42
 _FLOW_HEADROOM = 2**61
@@ -110,10 +111,10 @@ class PeelingTrace:
     best_value: float
 
 
-def _weighted_degrees(gadget: _Gadget, w: np.ndarray) -> np.ndarray:
+def _weighted_degrees(G: Graph, w: np.ndarray) -> np.ndarray:
     # endpoints interleaved in edge order, so each vertex sums its edges in
     # ascending index order, as a per-edge loop would
-    return np.bincount(gadget.ends, weights=np.repeat(w, 2), minlength=gadget.n)
+    return np.bincount(G.ends, weights=np.repeat(w, 2), minlength=G.n)
 
 
 def peeling_trace(G: Graph, w) -> PeelingTrace:
@@ -259,13 +260,13 @@ class _Gadget:
     of the sink arcs, for the search of the vertices that reach t. A vertex
     lists its sink arc first, so a search that can end at t does so at once.
 
-    ``ends`` holds the edge endpoints interleaved in edge order, u0 v0 u1
-    v1 ..., which are the tails of the edge arcs; ``eu`` and ``ev`` hold
-    them apart. ``two_hop[u]`` lists each neighbour v of u with its sink arc
-    and the arc u->v. ``flow`` is the residual capacity of each edge arc
-    u->v, cap[4n::2], at the end of the last warm max flow (None before the
-    first), and ``flow_caps`` the capacities q*c it was found at: the flow
-    on edge e is flow_caps[e] - flow[e].
+    The tails of the edge arcs, u0 v0 u1 v1 ..., are ``G.ends``; the
+    gadget keeps no endpoint arrays of its own. ``two_hop[u]`` lists each
+    neighbour v of u with its sink arc and the arc u->v. ``flow`` is the
+    residual capacity of each edge arc u->v, cap[4n::2], at the end of the
+    last warm max flow (None before the first), and ``flow_caps`` the
+    capacities q*c it was found at: the flow on edge e is flow_caps[e] -
+    flow[e].
     """
 
     def __init__(self, G: Graph):
@@ -288,8 +289,6 @@ class _Gadget:
         for e, (u, v) in enumerate(G.edges):
             self.adj[u + 1].append(4 * n + 2 * e)
             self.adj[v + 1].append(4 * n + 2 * e + 1)
-        self.ends = np.asarray(G.edges, dtype=np.intp).reshape(-1)
-        self.eu, self.ev = self.ends[0::2].copy(), self.ends[1::2].copy()
         self.two_hop = [
             [(v, 2 * n + 2 * v, 4 * n + 2 * e + (u > v)) for v, e in nbrs] for u, nbrs in enumerate(G.adjacency)
         ]
@@ -299,14 +298,11 @@ class _Gadget:
         self._inside: np.ndarray | None = None
 
     def inside(self, members: list[int]) -> np.ndarray:
-        """Read-only mask of the edges with both ends in ``members``:
-        ``w[mask].sum()`` sums the edges ``graph.density`` sums, in the same
-        order. The last one is kept, since DS-Lin's incumbent rarely
-        changes."""
+        """Read-only ``graph.edge_mask`` of ``members``: ``w[mask].sum()``
+        sums the edges ``graph.density`` sums, in the same order. The last
+        one is kept, since DS-Lin's incumbent rarely changes."""
         if members != self._inside_of:
-            mask = np.zeros(self.n, dtype=bool)
-            mask[members] = True
-            self._inside_of, self._inside = list(members), mask[self.eu] & mask[self.ev]
+            self._inside_of, self._inside = list(members), edge_mask(self.G, members)
             self._inside.flags.writeable = False
         return self._inside
 
@@ -348,11 +344,6 @@ class _CutSolver:
         self.c = what.tolist()
         self.flow_calls = 0
 
-    def weight_of(self, members) -> int:
-        inside = set(members)
-        c, adjacency = self.c, self.G.adjacency
-        return sum(c[idx] for u in members for v, idx in adjacency[u] if v > u and v in inside)
-
     def _capacities(self, p: int, q: int) -> tuple[list[int], np.ndarray]:
         """Residual capacities at guess p/q around a starting flow.
 
@@ -385,7 +376,7 @@ class _CutSolver:
             arcs[0::2] = qc
             arcs[1::2] = qc
         r = np.full(n, 2 * p, dtype=np.int64)
-        np.subtract.at(r, gadget.ends, arcs)  # each arc's residual from its tail
+        np.subtract.at(r, self.G.ends, arcs)  # each arc's residual from its tail
         cap = [0] * (4 * n) + arcs.tolist()
         sources = []
         for v, x in enumerate(r.tolist()):
@@ -458,7 +449,7 @@ class _CutSolver:
                 gadget.flow, gadget.flow_caps = cap[4 * gadget.n :: 2], qc
             if len(reach_s) > 1:
                 members = [x - 1 for x in reach_s[1:]]
-                weight = self.weight_of(members)
+                weight = int(self.what[edge_mask(self.G, members)].sum())
                 if q * weight > p * len(members):
                     size = len(members)
                     g = math.gcd(weight, size)
@@ -531,40 +522,29 @@ class _CutSolver:
         back: bool = False,
         avoid: list[bool] | None = None,
         stop: int | None = None,
+        both: bool = False,
     ) -> tuple[list[int], list[bool]]:
         """Nodes that ``root`` reaches in the residual network, or with
         ``back`` the nodes that reach ``root``, in search order and as flags
-        by node; never through the nodes flagged in ``avoid``. The search
-        ends early once it has found ``stop`` nodes, root included."""
+        by node; never through the nodes flagged in ``avoid``. With ``both``
+        the search follows only the arcs with residual capacity both ways,
+        so each node it finds also reaches ``root``. The search ends early
+        once it has found ``stop`` nodes, root included."""
         to, adj = self.gadget.to, self.gadget.adj
         flip = 1 if back else 0
+        also = 1 if both else flip  # the second arc test repeats the first unless ``both``
         seen = [False] * len(adj) if avoid is None else avoid.copy()
         seen[root] = True
         queue = [root]
         for u in queue:
             for a in adj[u]:
                 v = to[a]
-                if not seen[v] and cap[a ^ flip]:
+                if not seen[v] and cap[a ^ flip] and cap[a ^ also]:
                     seen[v] = True
                     queue.append(v)
             if len(queue) == stop:
                 break
         return queue, seen
-
-    def _two_way_reach(self, cap: list[int], root: int) -> int:
-        """How many nodes ``root`` reaches along arcs with residual capacity
-        both ways; each of them also reaches ``root``."""
-        to, adj = self.gadget.to, self.gadget.adj
-        seen = [False] * len(adj)
-        seen[root] = True
-        queue = [root]
-        for u in queue:
-            for a in adj[u]:
-                v = to[a]
-                if not seen[v] and cap[a] and cap[a ^ 1]:
-                    seen[v] = True
-                    queue.append(v)
-        return len(queue)
 
     def _canonical(self, cap, reach_t, union) -> list[int]:
         """Smallest-cardinality, then lexicographic, maximizer extraction.
@@ -579,7 +559,7 @@ class _CutSolver:
         other vertices' nodes.
         """
         root, size = union[0], len(union)
-        if self._two_way_reach(cap, root) == size or (
+        if len(self._search(cap, root, both=True)[0]) == size or (
             len(self._search(cap, root)[0]) == size and len(self._search(cap, root, True, reach_t)[0]) == size
         ):
             members = [i - 1 for i in union]
@@ -592,7 +572,7 @@ class _CutSolver:
 def _greedy_start(gadget: _Gadget, w: np.ndarray) -> list[int]:
     """Densest prefix of a greedy peel (a cold start)."""
     G = gadget.G
-    degs = _weighted_degrees(gadget, w)
+    degs = _weighted_degrees(G, w)
     num = 0.5 * float(degs.sum())
     order: list[int] = []
     best_num, best_den, best_removed = -1.0, 1, 0
@@ -612,15 +592,15 @@ def _greedy_start(gadget: _Gadget, w: np.ndarray) -> list[int]:
     return [v for v in range(G.n) if v not in removed]
 
 
-def _rounded(gadget: _Gadget, w: np.ndarray) -> np.ndarray:
+def _rounded(G: Graph, w: np.ndarray) -> np.ndarray:
     # shift by 2^e, the least e >= 0 with max(w) * 2^e >= 1/2, so that small
     # weights keep as many bits as weights near 1; the shift is exact, and
     # e = 0 once max(w) >= 1/2. The scale K keeps q*M-sized capacities and
     # max-flow values in int64
     e = max(0, -math.frexp(float(w.max(initial=0.0)))[1])
     shifted = np.ldexp(w, e) if e else w
-    n = gadget.n
-    max_dw = float(_weighted_degrees(gadget, shifted).max())
+    n = G.n
+    max_dw = float(_weighted_degrees(G, shifted).max())
     K = _SCALE_CAP if max_dw <= 0.0 else int(min(_SCALE_CAP, _FLOW_HEADROOM / (4.0 * n * n * max_dw)))
     if K < 1:
         raise ValueError("weights too large for the integer-scaled flow solver")
@@ -656,7 +636,7 @@ def _densest(G: Graph, w: np.ndarray, start: tuple[int, ...] | None) -> DensestR
     ascending tuple of distinct vertices. DS-Lin calls it with its own
     clipped estimate and last incumbent, which are that by construction."""
     gadget = _gadget_for(G)
-    solver = _CutSolver(gadget, _rounded(gadget, w), warm=True)
+    solver = _CutSolver(gadget, _rounded(G, w), warm=True)
     subset, inside = solver.solve(start, tie_break=True)
     value = float(w[inside].sum()) / len(subset)
     return DensestResult(subset=tuple(subset), value=value, flow_calls=solver.flow_calls)
@@ -682,7 +662,7 @@ def second_best_density(G: Graph, w, best) -> float:
     if G.n < 2:
         raise ValueError("second-best density needs at least two vertices")
     gadget = _gadget_for(G)
-    what = _rounded(gadget, w)
+    what = _rounded(G, w)
     best_members = set(best)
     runner_value = -math.inf
     for v in range(G.n):

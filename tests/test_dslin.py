@@ -101,6 +101,14 @@ class TestArmFamily:
         with pytest.raises(ValueError, match="empty support"):
             select_arm(state, fam)
 
+    def test_edge_sets_must_be_the_induced_edges(self, lollipop):
+        # the design reads each arm's induced edges and the oracle sums its
+        # edge set; a family where they differ would fit the wrong weights
+        arms = ((0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 2, 3))
+        fam = ArmFamily(arms=arms, edge_sets=((0, 1, 2), (0, 1, 2, 3), (0, 3), (1,)), p=np.full(4, 0.25))
+        with pytest.raises(ValueError, match="edges the arm induces"):
+            init_state(lollipop, fam, DsLinParams())
+
     def test_span_deficit_rejected(self, lollipop):
         # at k = n the only arm is the whole vertex set, of rank 1 < m
         with pytest.raises(ValueError, match="span"):

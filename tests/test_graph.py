@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from densebandits.graph import (
     save_weights,
     star_edges,
 )
+from densebandits.solvers import exact_densest, second_best_density
 
 from conftest import alive_mask, data_path, random_graph
 
@@ -147,6 +149,35 @@ class TestValidation:
         with pytest.raises(ValueError):
             density(lollipop, np.ones(4), [])
 
+    def test_vertex_set_keeps_numpy_integers(self, lollipop):
+        assert as_vertex_set(lollipop, np.array([3, 0], dtype=np.uint8)) == (0, 3)
+        assert as_vertex_set(lollipop, [np.int64(2), 1]) == (1, 2)
+
+    def test_density_checks_weights(self, lollipop):
+        # each of these used to give a number: 1.0, -1.0 and nan
+        for w, match in ((np.ones(9), "shape"), (-np.ones(4), "nonnegative"), ([1.0, math.nan, 1.0, 1.0], "finite")):
+            with pytest.raises(ValueError, match=match):
+                density(lollipop, w, (0, 1, 2))
+
+
+# every public call that reads a vertex set; int() truncation would read
+# [1.9, 2.2] as {1, 2} and [True, 2] as {1, 2}
+VERTEX_SET_READERS = {
+    "density": lambda G, S: density(G, np.ones(G.m), S),
+    "induced_edges": induced_edges,
+    "exact_densest": lambda G, S: exact_densest(G, np.ones(G.m), start=S),
+    "second_best_density": lambda G, S: second_best_density(G, np.ones(G.m), best=S),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(VERTEX_SET_READERS))
+def test_vertex_sets_refuse_bools_and_floats(lollipop, reader):
+    call = VERTEX_SET_READERS[reader]
+    for S in ([1.9, 2.2], [0.7, 2.9], [True, 2], (np.True_, 2), np.array([1.0, 2.0]), {2, 1.5}):
+        with pytest.raises(ValueError, match="vertex indices must be integers"):
+            call(lollipop, S)
+    call(lollipop, np.array([1, 2]))
+
 
 class TestSubsetQueries:
     def test_induced_edges_ascending(self, lollipop):
@@ -171,6 +202,21 @@ class TestSubsetQueries:
 
     def test_karate_shape(self, karate):
         assert (karate.n, karate.m) == (34, 78)
+
+    def test_edgeless_graph(self):
+        G = Graph.from_edges([], 3)
+        assert induced_edges(G, (0, 1, 2)) == []
+        assert density(G, np.zeros(0), (0, 1)) == 0.0
+
+    def test_ends_interleave_the_edges_read_only(self, lollipop):
+        fresh = Graph.from_edges(lollipop.edges, lollipop.n)
+        ends = lollipop.ends
+        assert ends.dtype == np.intp and np.array_equal(ends, np.ravel(lollipop.edges))
+        assert lollipop.ends is ends
+        with pytest.raises(ValueError):
+            ends[0] = 1
+        assert "ends" not in {f.name for f in dataclasses.fields(Graph)}
+        assert lollipop == fresh and hash(lollipop) == hash(fresh)
 
 
 @st.composite
@@ -229,6 +275,9 @@ def test_induced_edges_monotone(case):
     full = induced_edges(G, tuple(range(G.n)))
     assert set(sub) <= set(full)
     assert full == list(range(G.m))
+    direct = [e for e, (u, v) in enumerate(G.edges) if u in S and v in S]
+    assert sub == direct
+    assert density(G, w, S) == float(np.sum(w[direct])) / len(S)
 
 
 @given(graph_and_subset(), st.floats(min_value=0.1, max_value=50.0))
