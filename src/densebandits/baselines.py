@@ -19,7 +19,7 @@ import numpy as np
 
 from .dslin import ArmFamily
 from .graph import Graph, as_weight_vector
-from .oracle import SamplingOracle
+from .oracle import SamplingOracle, _check_oracle_graph
 from .solvers import exact_densest
 
 
@@ -37,6 +37,7 @@ def run_naive(
     zero before the final exact solve, mirroring the estimator clipping of
     the fixed-confidence algorithm.
     """
+    _check_oracle_graph(G, oracle)
     if T < 1:
         raise ValueError("budget T must be at least 1")
     if not family.arms:
@@ -78,6 +79,7 @@ def run_r_oracle(
     [l_e, r_e] and then tightened to half-width eps*f_minus/sqrt(2m). The
     output is the exact maximizer under the tightened lower bounds.
     """
+    _check_oracle_graph(G, oracle)
     if not (0 < gamma < 1):
         raise ValueError("gamma must lie in (0, 1)")
     if not (math.isfinite(eps) and eps > 0):
@@ -99,7 +101,8 @@ def run_r_oracle(
         if lo[e] >= hi[e]:
             continue
         t_e = math.ceil(m * (hi[e] - lo[e]) ** 2 * log_term / (eps**2 * f_minus**2))
-        draws = [oracle.sample_edges([e]) for _ in range(t_e)]
+        F = (e,)  # one tuple for all t_e queries, so the oracle checks it once
+        draws = [oracle.sample_edges(F) for _ in range(t_e)]
         p_hat = min(max(math.fsum(draws) / t_e, lo[e]), hi[e])
         l_out[e] = max(lo[e], p_hat - half)
     return exact_densest(G, l_out).subset

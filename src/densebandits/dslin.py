@@ -33,6 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import Graph, edge_mask
+from .oracle import _check_oracle_graph
 from .solvers import _densest, second_best_density
 
 _EXACT_QP_LIMIT = 22
@@ -361,6 +362,7 @@ def run_dslin(
     """
     if stop_mode not in STOP_MODES:
         raise ValueError(f"stop_mode must be one of {STOP_MODES}")
+    _check_oracle_graph(G, oracle)
     m = G.m
     if max_iters < m:
         raise ValueError(f"max_iters={max_iters} is below the m={m} initialization rounds")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, star_edges
-from .oracle import SamplingOracle
+from .oracle import SamplingOracle, _check_oracle_graph
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,10 @@ def build_schedule(T: int, n: int) -> BudgetSchedule:
 
 
 def _fresh_mean(oracle: SamplingOracle, star: list[int], k: int) -> float:
+    """Mean of k fresh observations of the star, each one counted query at
+    its own noise counter. The star is passed as one tuple object, so the
+    oracle checks it on the first query only."""
+    star = tuple(star)
     obs = [oracle.sample_edges(star) for _ in range(k)]
     first = obs[0]
     if all(o == first for o in obs):
@@ -155,6 +159,7 @@ def run_dssr(G: Graph, oracle: SamplingOracle, T: int) -> tuple[tuple[int, ...],
     and the returned prefix is the earliest (largest) one, so a noise-free
     run reproduces greedy peeling exactly.
     """
+    _check_oracle_graph(G, oracle)
     schedule = build_schedule(T, G.n)
     state = PeelingState(
         G=G,

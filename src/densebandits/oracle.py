@@ -8,9 +8,11 @@ block (0, 0, j, 0) before drawing. The j-th query's noise is therefore a
 function of (seed, j, |F|) only, the same stream a fresh
 ``Philox(key=seed, counter=[0, 0, j, 0])`` gives, which makes every
 observation sequence reproducible and platform independent. An oracle has a
-single owner: the generator is part of its mutable state. The true weights
-are held privately; algorithms only see observations and the public query
-counters.
+single owner: the generator is part of its mutable state, and so is a memo
+of the last tuple query it checked, which lets a caller that asks one
+tuple again, as DS-SR does for a star, skip the checks. The true weights
+are held privately, out of the repr; algorithms only see observations and
+the public query counters.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class NoiseModel:
                 raise ValueError("gaussian noise needs finite R > 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class SamplingOracle:
     """Single-owner mutable sampler with full query accounting.
 
@@ -49,18 +51,24 @@ class SamplingOracle:
     count, so its total always equals ``total_queries`` and
     ``histogram.get(1, 0)`` counts the single-edge queries. Every query count
     the package reports is read from these two. The noise generator is keyed
-    by ``seed`` when the oracle is built.
+    by ``seed`` when the oracle is built. Oracles compare by identity: two
+    with equal fields still own separate generators.
     """
 
     graph: Graph
-    _w: np.ndarray
+    _w: np.ndarray = field(repr=False)
     noise: NoiseModel
     seed: int
     total_queries: int = 0
     histogram: dict[int, int] = field(default_factory=dict)
-    _bitgen: np.random.Philox = field(init=False, repr=False, compare=False)
-    _rng: np.random.Generator = field(init=False, repr=False, compare=False)
-    _state: dict = field(init=False, repr=False, compare=False)
+    _bitgen: np.random.Philox = field(init=False, repr=False)
+    _rng: np.random.Generator = field(init=False, repr=False)
+    _state: dict = field(init=False, repr=False)
+    # the last tuple query that passed the checks, and its index array; it
+    # starts as an object no caller holds (an empty tuple would be the
+    # interned (), and None a value a caller can pass)
+    _checked: object = field(default_factory=object, init=False, repr=False)
+    _checked_idx: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._bitgen = np.random.Philox(key=self.seed)
@@ -82,8 +90,10 @@ class SamplingOracle:
 
         An integer array is checked with a few array operations and, when
         already ascending, not copied. Any other form is read as a list and
-        sorted and checked as one, which is cheaper for the short stars
-        DS-SR queries. Bool and float entries are refused, not truncated.
+        sorted and checked as one, which is cheaper for short subsets. Bool
+        and float entries are refused, not truncated. ``sample_edges``
+        calls this once per tuple object it is passed in a row: a tuple and
+        its int entries cannot change, so its index array stays valid.
         """
         if isinstance(F, np.ndarray):
             if F.ndim != 1:
@@ -113,12 +123,21 @@ class SamplingOracle:
 
         F is a nonempty collection of distinct edge indices in any order:
         a list, a tuple or any other iterable of ints, or a 1-D integer
-        numpy array. An ascending ``np.intp`` array, such as
-        ``ArmFamily.edge_index`` holds, is the cheapest form. A bool or
-        float entry, an empty or repeated subset and an index outside the
-        graph raise ``ValueError`` and draw no noise.
+        numpy array. The cheapest form is one tuple object passed again
+        and again, as DS-SR does with a star and ``run_r_oracle`` with an
+        edge: only its first query in a row is checked. Next comes an
+        ascending ``np.intp`` array, such as ``ArmFamily.edge_index``
+        holds. Lists and arrays are checked on every call, since they can
+        change in place. A bool or float entry, an empty or repeated
+        subset and an index outside the graph raise ``ValueError`` and draw
+        no noise. Each call is one counted query at its own counter.
         """
-        idx = self._edge_index(F)
+        if F is self._checked:
+            idx = self._checked_idx
+        else:
+            idx = self._edge_index(F)
+            if type(F) is tuple:
+                self._checked, self._checked_idx = F, idx
         size = idx.size
         vals = self._w[idx]
         if self.noise.kind == "gaussian-per-edge":
@@ -127,6 +146,14 @@ class SamplingOracle:
         self.total_queries += 1
         self.histogram[size] = self.histogram.get(size, 0) + 1
         return obs
+
+
+def _check_oracle_graph(G: Graph, oracle) -> None:
+    """Refuse an oracle built on another graph than G: its edge indices
+    would name other edges. Identity is tested first, so the usual case
+    costs one comparison."""
+    if oracle.graph is not G and oracle.graph != G:
+        raise ValueError("the oracle was built on another graph than the one given")
 
 
 def make_oracle(G: Graph, w, noise: NoiseModel | str = "gaussian-per-edge", seed: int = 0) -> SamplingOracle:

@@ -180,6 +180,8 @@ class TestROracle:
         # [2, 4], its lower bound is 4 - half and the full set wins; left
         # unclipped it would be 100 - half and the pendant pair would win
         class PendantReportsHigh:
+            graph = lollipop
+
             def sample_edges(self, F):
                 return 100.0 if list(F) == [3] else 3.0
 

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densebandits.graph import Graph, star_edges
+from densebandits.baselines import run_naive, run_r_oracle
+from densebandits.dslin import DsLinParams, generate_arm_family, run_dslin
+from densebandits.dssr import default_budget, run_dssr
+from densebandits.experiments import knockout_weights
+from densebandits.graph import Graph, load_edge_list, star_edges
 from densebandits.oracle import NoiseModel, SamplingOracle, make_oracle
 
-from conftest import alive_mask, random_graph
+from conftest import RecordingOracle, alive_mask, data_path, random_graph
 
 
 class TestNoiseModel:
@@ -164,18 +168,27 @@ REFUSALS = {
 @settings(max_examples=60, deadline=None)
 def test_list_tuple_and_array_queries_agree(seed, data):
     # fresh same-seed oracles given one edge subset, in any order, as a
-    # list, a tuple or an index array see the same observations, counts and
-    # histogram; the refusals read the same in every form
+    # list, a tuple, an index array or one tuple object queried again see
+    # the same observations, counts and histogram; the refusals read the
+    # same in every form
     rng = np.random.default_rng(seed % 2**32)
     G = random_graph(rng, int(rng.integers(3, 9)))
     w = rng.uniform(0.0, 5.0, size=G.m)
     subset = st.permutations(range(G.m)).flatmap(lambda p: st.integers(1, len(p)).map(lambda k: p[:k]))
     subsets = data.draw(st.lists(subset, min_size=1, max_size=3))
-    forms = (list, tuple, lambda F: np.array(F, dtype=np.intp), lambda F: np.array(sorted(F), dtype=np.intp))
+    repeats = data.draw(st.integers(1, 3))
+    shared = {}
+    forms = (
+        list,
+        tuple,
+        lambda F: np.array(F, dtype=np.intp),
+        lambda F: np.array(sorted(F), dtype=np.intp),
+        lambda F: shared.setdefault(tuple(F), tuple(F)),
+    )
     seen = []
     for form in forms:
         oracle = make_oracle(G, w, seed=seed)
-        obs = [oracle.sample_edges(form(F)) for F in subsets]
+        obs = [oracle.sample_edges(form(F)) for F in subsets for _ in range(repeats)]
         assert all(type(size) is int for size in oracle.histogram)
         seen.append((obs, oracle.total_queries, oracle.histogram))
     assert all(s == seen[0] for s in seen)
@@ -187,6 +200,123 @@ def test_list_tuple_and_array_queries_agree(seed, data):
                 oracle.sample_edges(form(F))
             assert str(refusal.value) == message
     assert oracle.total_queries == 0
+
+
+def test_a_repeated_tuple_is_checked_once_and_nothing_else_is():
+    triangle = Graph.from_edges([(0, 1), (0, 2), (1, 2)], 3)
+    w = np.array([1.0, 2.0, 4.0])
+    oracle = make_oracle(triangle, w, seed=21)
+    # the memo starts empty: neither the interned () nor None matches it
+    with pytest.raises(ValueError, match="empty"):
+        oracle.sample_edges(())
+    with pytest.raises(TypeError):
+        oracle.sample_edges(None)
+    j = 0
+
+    def check(F, expected):
+        nonlocal j
+        assert oracle.sample_edges(F) == per_query_reference(w, 21, j, expected, 1.0)
+        j += 1
+        assert oracle.total_queries == j
+
+    star = (2, 0)
+    for _ in range(3):
+        check(star, [0, 2])
+    # a list or an array mutated in place is checked and read again
+    F = [0, 1]
+    check(F, [0, 1])
+    F[1] = 2
+    check(F, [0, 2])
+    F.append(0)
+    with pytest.raises(ValueError, match="duplicates"):
+        oracle.sample_edges(F)
+    A = np.array([1, 2], dtype=np.intp)
+    check(A, [1, 2])
+    A[0] = 3
+    with pytest.raises(ValueError, match="out of range"):
+        oracle.sample_edges(A)
+    # a refused tuple raises on every repeat, draws no noise and leaves the
+    # last checked tuple usable
+    bad = (1, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicates"):
+            oracle.sample_edges(bad)
+    assert oracle.total_queries == j
+    check(star, [0, 2])
+    with pytest.raises(ValueError, match="empty"):
+        oracle.sample_edges(())
+    check(star, [0, 2])
+    assert oracle.histogram == {2: j}
+    # two oracles keep their own memo: the tuple this one trusts names an
+    # edge the single-edge graph does not have
+    other = make_oracle(Graph.from_edges([(0, 1)], 2), np.ones(1), seed=21)
+    with pytest.raises(ValueError, match="out of range"):
+        other.sample_edges(star)
+    assert other.total_queries == 0
+    check(star, [0, 2])
+
+
+def test_repr_hides_the_weights_and_oracles_compare_by_identity(lollipop):
+    w = np.array([3.5, 7.25, 1.0, 2.0])
+    a = make_oracle(lollipop, w, seed=0)
+    b = make_oracle(lollipop, w, seed=0)
+    text = repr(a)
+    assert "_w" not in text and "3.5" not in text and "7.25" not in text
+    assert "seed=0" in text and "total_queries=0" in text
+    assert a == a and a != b and not (a == b)
+    assert len({a, b}) == 2
+
+
+BUNDLED = ("karate", "lesmis", "polbooks")
+
+
+def _algorithms_on(G, oracle, w):
+    return {
+        "dssr": lambda: run_dssr(G, oracle, default_budget(G.n)),
+        "dslin": lambda: run_dslin(G, generate_arm_family(G, k=10, seed=0), oracle, DsLinParams(), G.m + 5),
+        "naive": lambda: run_naive(G, generate_arm_family(G, k=10, seed=0), oracle, 50),
+        "r-oracle": lambda: run_r_oracle(G, w, oracle),
+    }
+
+
+@pytest.mark.parametrize("algorithm", ["dssr", "dslin", "naive", "r-oracle"])
+def test_algorithms_refuse_an_oracle_of_another_graph(algorithm):
+    karate = load_edge_list(data_path("karate.txt"))
+    lesmis = load_edge_list(data_path("lesmis.txt"))
+    foreign = make_oracle(lesmis, knockout_weights(lesmis, seed=0), seed=0)
+    w = knockout_weights(karate, seed=0)
+    with pytest.raises(ValueError, match="another graph"):
+        _algorithms_on(karate, foreign, w)[algorithm]()
+    assert foreign.total_queries == 0
+    # an equal graph loaded again is the same graph
+    copy = load_edge_list(data_path("karate.txt"))
+    assert copy is not karate and copy == karate
+    _algorithms_on(karate, make_oracle(copy, w, seed=0), w)[algorithm]()
+
+
+@pytest.mark.parametrize(
+    "name,algorithm",
+    [(name, "dssr") for name in BUNDLED] + [("karate", "naive"), ("karate", "r-oracle")],
+)
+def test_every_counted_query_is_one_sample_edges_call(name, algorithm):
+    # each counted query is one sample_edges call at its own noise counter,
+    # which the traced benchmark's replay also checks; a batched query path
+    # would break this
+    G = load_edge_list(data_path(f"{name}.txt"))
+    w = knockout_weights(G, seed=0)
+    if algorithm == "r-oracle":
+        # weights low enough that every edge is queried many times over
+        w = np.full(G.m, 3.0)
+    oracle = RecordingOracle(make_oracle(G, w, seed=5))
+    out = _algorithms_on(G, oracle, w)[algorithm]()
+    assert len(oracle.queries) == oracle.total_queries > 0
+    if algorithm == "dssr":
+        assert out[1].total_queries == oracle.total_queries
+    for j, (F, obs) in enumerate(oracle.queries):
+        assert obs == per_query_reference(w, 5, j, F, 1.0)
+    if algorithm != "naive":
+        # the same tuple queried again in a row: the path the memo serves
+        assert any(a is b for (a, _), (b, _) in zip(oracle.queries, oracle.queries[1:]))
 
 
 class TestCounters:
