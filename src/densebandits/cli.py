@@ -24,6 +24,7 @@ from .experiments import (
     FIELD_TYPES,
     ConfigError,
     ExperimentConfig,
+    _need_file,
     config_from_file,
     config_key,
     knockout_weights,
@@ -36,20 +37,22 @@ from .oracle import NOISE_KINDS
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # flags are spelled out in full
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # noqa: D102 - flag problems are config errors
         self.print_usage(sys.stderr)
         print(f"config error: {message}", file=sys.stderr)
         sys.exit(1)
 
 
-# flags of every algorithm subcommand; --seed and --config are not config fields
-_COMMON = ("graph", "weights", "seed", "seeds", "out", "config", "noise", "R")
-_TYPES = {**FIELD_TYPES, "seed": int, "config": str}
+# flags of every algorithm subcommand; --config is not a config field
+_COMMON = ("graph", "weights", "seeds", "out", "config", "noise", "R")
+_TYPES = {**FIELD_TYPES, "config": str}
 _CHOICES = {"noise": NOISE_KINDS, "stop_mode": STOP_MODES}
 _HELP = {
     "graph": "edge-list file",
     "weights": "weight file covering every edge",
-    "seed": "single seed",
     "seeds": "seed list: '7', '1,2,5' or range '0:100'",
     "out": "output directory for CSVs",
     "config": "key=value config file (flags override it)",
@@ -107,8 +110,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     }
     if args.seeds is not None:
         flags["seeds"] = parse_seeds(args.seeds)
-    elif args.seed is not None:
-        flags["seeds"] = (args.seed,)
     if args.config:
         return replace(config_from_file(args.config), algorithm=args.command, **flags)
     if "graph" not in flags:
@@ -149,7 +150,7 @@ def _run_algorithm(args: argparse.Namespace) -> int:
 def _report(args: argparse.Namespace) -> int:
     groups: dict[tuple[str, str], list] = {}
     for path in args.paths:
-        records = read_results(path)
+        records = read_results(_need_file(path, "results"))
         for r in records:
             groups.setdefault((r.algo, r.graph), []).append(r)
     header = (
@@ -178,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "gen-weights":
-            G = load_edge_list(args.graph)
+            G = load_edge_list(_need_file(args.graph, "graph"))
             save_weights(args.out, G, knockout_weights(G, args.seed))
             print(f"wrote knockout weights (seed {args.seed}) to {args.out}")
             return 0

@@ -213,7 +213,7 @@ def init_state(G: Graph, family: ArmFamily, params: DsLinParams) -> DesignState:
     )
 
 
-def select_arm(state: DesignState, family: ArmFamily) -> int:
+def select_arm(state: DesignState) -> int:
     """Index minimizing pull-count / allocation over the support of p,
     taken once per run by ``init_state`` with p on it; ties go to the
     lowest index."""
@@ -399,7 +399,7 @@ def run_dslin(
         if margin >= 0.0:
             diag.stopped = True
             break
-        arm = select_arm(state, family)
+        arm = select_arm(state)
         reward = oracle.sample_edges(family.edge_index[arm])
         update(state, arm, reward)
 

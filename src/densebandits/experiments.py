@@ -75,12 +75,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {tuple(ALGORITHMS)}")
         if "," in Path(self.graph).stem:  # the stem is a results CSV column
             raise ConfigError(f"graph file name must not contain a comma: {self.graph}")
-        if not Path(self.graph).is_file():
-            raise ConfigError(f"graph file not found: {self.graph}")
+        _need_file(self.graph, "graph")
         if self.weights is None:
             raise ConfigError("a weight file is required (generate one with gen-weights)")
-        if not Path(self.weights).is_file():
-            raise ConfigError(f"weight file not found: {self.weights}")
+        _need_file(self.weights, "weight")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         repeated = [seed for seed, count in Counter(self.seeds).items() if count > 1]
@@ -123,6 +121,13 @@ FIELD_TYPES = {
 _KEY_TO_FIELD = {config_key(f.name): f.name for f in fields(ExperimentConfig)}
 
 
+def _need_file(path: str | Path, what: str) -> str | Path:
+    """``path``, if it names a file; a missing file is a configuration error."""
+    if not Path(path).is_file():
+        raise ConfigError(f"{what} file not found: {path}")
+    return path
+
+
 def parse_seeds(text: str) -> tuple[int, ...]:
     """Seed list syntax: '7', '1,2,5', or half-open range '0:100'."""
     text = text.strip()
@@ -140,8 +145,7 @@ def parse_seeds(text: str) -> tuple[int, ...]:
 
 def config_from_file(path: str | Path) -> ExperimentConfig:
     """Parse a flat key=value config file."""
-    if not Path(path).is_file():
-        raise ConfigError(f"config file not found: {path}")
+    _need_file(path, "config")
     values: dict[str, object] = {}
     with Path(path).open() as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -157,8 +157,10 @@ def _check_oracle_graph(G: Graph, oracle) -> None:
 
 
 def make_oracle(G: Graph, w, noise: NoiseModel | str = "gaussian-per-edge", seed: int = 0) -> SamplingOracle:
-    """Construct a seeded oracle over hidden true weights."""
+    """Construct a seeded oracle over hidden true weights. The seed, an
+    integer (a bool or float is refused, not truncated), is taken mod 2^64."""
     if isinstance(noise, str):
         noise = NoiseModel(kind=noise)
     w = as_weight_vector(G, w)
+    _check_integers([seed], "oracle seeds")
     return SamplingOracle(graph=G, _w=w.copy(), noise=noise, seed=int(seed) & _SEED_MASK)

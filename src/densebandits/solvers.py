@@ -15,15 +15,16 @@ on the rounded instance.
 
 Five things keep the repeated solves cheap:
 
-- Checked once. ``exact_densest`` validates its weights and start and hands
-  them to a private core, which DS-Lin's rounds call directly with their own
-  clipped estimate and last incumbent. The core reads the reported value
-  and the tie-break's integer weight check from one ``graph.edge_mask``,
-  which also gives Dinkelbach the weight of each improving cut.
-- Warm start. The iteration may start from any nonempty set, which a local
-  search (add or drop one vertex while that raises the density) polishes
-  first; a start that is then optimal costs a single max-flow call, which
-  proves it optimal. Cold solves start from a greedy peel.
+- Checked once. ``exact_densest`` validates its weights and hands them to
+  a private core, which DS-Lin's rounds call directly with their own
+  clipped estimate and last incumbent as the start. The core reads the
+  reported value and the tie-break's integer weight check from one
+  ``graph.edge_mask``, which also gives Dinkelbach the weight of each
+  improving cut.
+- Warm start. The core's iteration may start from any nonempty set, which
+  a local search (add or drop one vertex while that raises the density)
+  polishes first; a start that is then optimal costs a single max-flow
+  call, which proves it optimal. Cold solves start from a greedy peel.
 - Gadget reuse. The arc arrays depend only on the graph, so they are built
   once and kept in a one-entry cache keyed by the ``Graph`` value; each
   guess refills only the capacities, reading the edge endpoints from
@@ -50,19 +51,18 @@ smallest membership. At the optimal guess every maximizer is the source side
 of some minimum cut. So is the empty set, so the residual closure of s holds
 no vertex; the minimal maximizer containing a vertex u is the closure of
 {s, u}, and the union of all maximizers is the set of vertices that cannot
-reach t. When the union is strongly connected in the residual network, which
-is the case exactly when the maximizer is unique, it is the answer, found
-with one search along the arcs with residual capacity both ways or else one
-search each way; otherwise the closures of its vertices are compared, which
-enumerates every minimum-cardinality maximizer. The search for the vertices
-that reach t ends once it has found all n - k of them, k the size of a set
-known to attain the optimum, since that set lies in the union. The
-tie-break does not depend on the start or on which maximum flow was found:
-Dinkelbach ends at the unique optimal p/q of the rounded instance, and the
-sets read off the residual network (reachable from s, reaching t, and each
-closure) are the minimum cuts' lattice, which is the same for every maximum
-flow (Picard-Queyranne 1980). So neither the answer nor the number of
-max-flow calls depends on the flow a max flow starts from.
+reach t. The tie-break has two tiers. If one search along the arcs with
+residual capacity both ways finds the whole union, the union is strongly
+connected and the only maximizer. Otherwise the closures of its vertices are
+compared, which enumerates every minimum-cardinality maximizer. The search
+for the vertices that reach t ends once it has found all n - k of them, k
+the size of a set known to attain the optimum, since that set lies in the
+union. The tie-break does not depend on the start or on which maximum flow
+was found: Dinkelbach ends at the unique optimal p/q of the rounded
+instance, and the sets read off the residual network (reachable from s,
+reaching t, and each closure) are the minimum cuts' lattice, which is the
+same for every maximum flow (Picard-Queyranne 1980). So neither the answer
+nor the number of max-flow calls depends on the flow a max flow starts from.
 
 An equivalent exact LP formulation (kept as a reference, not used): maximize
 sum_e w_e y_e subject to y_e <= x_u and y_e <= x_v for each edge e = {u, v},
@@ -424,7 +424,8 @@ class _CutSolver:
         return cap, qc
 
     def solve(self, start=None, tie_break: bool = True) -> tuple[list[int], np.ndarray]:
-        """Dinkelbach iteration from ``start`` (greedy peel when None).
+        """Dinkelbach iteration from ``start`` (greedy peel when None),
+        which holds the forced vertex if there is one.
 
         Returns the canonical maximizer with ``tie_break``, otherwise the
         union of all maximizers, and its edge mask (``_Gadget.inside``);
@@ -436,8 +437,6 @@ class _CutSolver:
             return members, gadget.inside(members)
         if start is None:
             start = _greedy_start(gadget, self.what.astype(np.float64))
-        if self.force is not None:
-            start = set(start) | {self.force}
         p, size = self._polish(start)
         g = math.gcd(p, size)
         p, q = p // g, size // g
@@ -463,7 +462,7 @@ class _CutSolver:
             if not tie_break:
                 members = [x - 1 for x in union]
                 return members, gadget.inside(members)
-            members = self._canonical(cap, reach_t, union)
+            members = self._canonical(cap, union)
             inside = gadget.inside(members)
             # the tie-break picks a maximizer: its rounded density is p/q
             assert q * int(self.what[inside].sum()) == p * len(members)
@@ -520,20 +519,19 @@ class _CutSolver:
         cap: list[int],
         root: int,
         back: bool = False,
-        avoid: list[bool] | None = None,
         stop: int | None = None,
         both: bool = False,
     ) -> tuple[list[int], list[bool]]:
         """Nodes that ``root`` reaches in the residual network, or with
         ``back`` the nodes that reach ``root``, in search order and as flags
-        by node; never through the nodes flagged in ``avoid``. With ``both``
-        the search follows only the arcs with residual capacity both ways,
-        so each node it finds also reaches ``root``. The search ends early
-        once it has found ``stop`` nodes, root included."""
+        by node. With ``both`` the search follows only the arcs with
+        residual capacity both ways, so each node it finds also reaches
+        ``root``. The search ends early once it has found ``stop`` nodes,
+        root included."""
         to, adj = self.gadget.to, self.gadget.adj
         flip = 1 if back else 0
         also = 1 if both else flip  # the second arc test repeats the first unless ``both``
-        seen = [False] * len(adj) if avoid is None else avoid.copy()
+        seen = [False] * len(adj)
         seen[root] = True
         queue = [root]
         for u in queue:
@@ -546,22 +544,19 @@ class _CutSolver:
                 break
         return queue, seen
 
-    def _canonical(self, cap, reach_t, union) -> list[int]:
+    def _canonical(self, cap, union) -> list[int]:
         """Smallest-cardinality, then lexicographic, maximizer extraction.
 
         Runs at the optimal guess without a forced vertex, where the closure
-        of s holds no vertex. The union of all maximizers is closed, so a
-        vertex of it that reaches all of it and is reached from all of it
-        makes it strongly connected and the only candidate; one search along
-        the arcs with residual both ways usually shows that. Otherwise each
-        vertex of the union gives one candidate: its residual closure.
-        ``reach_t`` flags the nodes that reach t, and ``union`` lists the
-        other vertices' nodes.
+        of s holds no vertex; ``union`` lists the nodes of the vertices that
+        cannot reach t. Two tiers: if one search along the arcs with
+        residual both ways finds all of the union, it is strongly connected
+        and the only candidate. Otherwise each vertex of the union gives one
+        candidate, its residual closure; that enumeration is exact, and it
+        too returns the union when the union is strongly connected.
         """
-        root, size = union[0], len(union)
-        if len(self._search(cap, root, both=True)[0]) == size or (
-            len(self._search(cap, root)[0]) == size and len(self._search(cap, root, True, reach_t)[0]) == size
-        ):
+        root = union[0]
+        if len(self._search(cap, root, both=True)[0]) == len(union):
             members = [i - 1 for i in union]
         else:
             closures = (sorted(x - 1 for x in self._search(cap, i)[0]) for i in union)
@@ -607,34 +602,27 @@ def _rounded(G: Graph, w: np.ndarray) -> np.ndarray:
     return np.rint(shifted * K).astype(np.int64)
 
 
-def exact_densest(G: Graph, w, start=None) -> DensestResult:
+def exact_densest(G: Graph, w) -> DensestResult:
     """Globally optimal density subset.
 
     Weights are scaled to integers before solving, with the scale chosen so
     the densest-value error is far below 1e-9 of the largest weight on
     graphs of a few thousand vertices, however small the weights are. The
     reported value is the true (unrounded) density of the returned set.
-    All-zero weights give ({0}, 0.0).
-
-    ``start``, a nonempty vertex set, seeds the density iteration in place
-    of a greedy peel; a good start (such as the optimum under nearby
-    weights) saves max-flow calls. The result does not depend on it. Each
-    max flow starts from the last one an ``exact_densest`` call found on the
-    same graph, which changes its cost, not the result or ``flow_calls``.
+    All-zero weights give ({0}, 0.0). Each max flow starts from the last
+    one an ``exact_densest`` call found on the same graph, which changes
+    its cost, not the result or ``flow_calls``.
     """
-    w = as_weight_vector(G, w)
-    if start is not None:
-        start = as_vertex_set(G, start)
-        if not start:
-            raise ValueError("start set must be nonempty")
-    return _densest(G, w, start)
+    return _densest(G, as_weight_vector(G, w), None)
 
 
 def _densest(G: Graph, w: np.ndarray, start: tuple[int, ...] | None) -> DensestResult:
-    """``exact_densest`` on inputs it would accept unchanged: ``w`` a finite
-    nonnegative float64 vector of length m, ``start`` None or a nonempty
-    ascending tuple of distinct vertices. DS-Lin calls it with its own
-    clipped estimate and last incumbent, which are that by construction."""
+    """``exact_densest`` on weights it would accept unchanged (finite,
+    nonnegative, float64, length m), from ``start``: None for a greedy
+    peel, or nonempty distinct valid vertices, taken as given. A good start,
+    such as the optimum under nearby weights, saves max-flow calls; the
+    result does not depend on it. DS-Lin passes its clipped estimate and
+    last incumbent, which meet this contract by construction."""
     gadget = _gadget_for(G)
     solver = _CutSolver(gadget, _rounded(G, w), warm=True)
     subset, inside = solver.solve(start, tie_break=True)

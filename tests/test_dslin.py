@@ -99,7 +99,7 @@ class TestArmFamily:
         fam = lollipop_family(p=(0.0, 0.0, 0.0, 0.0))
         state = init_state(lollipop, fam, DsLinParams())
         with pytest.raises(ValueError, match="empty support"):
-            select_arm(state, fam)
+            select_arm(state)
 
     def test_edge_sets_must_be_the_induced_edges(self, lollipop):
         # the design reads each arm's induced edges and the oracle sums its
@@ -222,20 +222,20 @@ class TestSelectArm:
     def test_fresh_state_picks_first(self, lollipop):
         fam = generate_arm_family(lollipop, k=3, seed=1)
         state = init_state(lollipop, fam, DsLinParams())
-        assert select_arm(state, fam) == 0
+        assert select_arm(state) == 0
 
     def test_count_over_allocation_ratio(self, lollipop):
         fam = lollipop_family(p=(0.5, 0.25, 0.125, 0.125))
         state = init_state(lollipop, fam, DsLinParams())
         state.counts[:] = [1, 0, 2, 1]
         # ratios: 2, 0, 16, 8
-        assert select_arm(state, fam) == 1
+        assert select_arm(state) == 1
 
     def test_zero_allocation_excluded(self, lollipop):
         fam = lollipop_family(p=(0.5, 0.5, 0.0, 0.0))
         state = init_state(lollipop, fam, DsLinParams())
         state.counts[:] = [9, 9, 0, 0]
-        assert select_arm(state, fam) == 0  # ties inside the support go low
+        assert select_arm(state) == 0  # ties inside the support go low
 
 
 class TestQpBound:

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -373,7 +374,7 @@ class TestCli:
 
     def test_dslin_capped_run(self, lollipop_files, capsys):
         g, w = lollipop_files
-        code = main(["dslin", "--graph", g, "--weights", w, "--seed", "0",
+        code = main(["dslin", "--graph", g, "--weights", w, "--seeds", "0",
                      "--k", "3", "--max-iters", "50", "--R", "1.0"])
         assert code == 0
         assert "algo=dslin" in capsys.readouterr().out
@@ -426,16 +427,6 @@ class TestCli:
         recs = read_results(out / "results.csv")
         assert recs[0].budget == 60
 
-    def test_seeds_flag_beats_seed_flag(self, tmp_path, lollipop_files):
-        g, w = lollipop_files
-        out = tmp_path / "res"
-        code = main(["dssr", "--graph", g, "--weights", w, "--seed", "9",
-                     "--seeds", "0:4", "--budget", "60", "--noise", "none",
-                     "--out", str(out)])
-        assert code == 0
-        recs = read_results(out / "results.csv")
-        assert [r.seed for r in recs] == [0, 1, 2, 3]
-
     def test_exit_code_1_on_config_errors(self, tmp_path, lollipop_files, capsys):
         g, w = lollipop_files
         assert main(["exact", "--weights", w]) == 1
@@ -479,9 +470,31 @@ class TestCli:
         assert exc.value.code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--lam", "100"], ["--budg", "60"]])
+    def test_no_seed_alias_and_no_abbreviations(self, lollipop_files, capsys, flag):
+        # --seed was a second spelling of --seeds, and argparse would take
+        # any unambiguous prefix of a flag; neither is part of the surface
+        g, w = lollipop_files
+        with pytest.raises(SystemExit) as exc:
+            main(["dssr", "--graph", g, "--weights", w, *flag])
+        assert exc.value.code == 1
+        assert f"config error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["report", "/nonexistent.csv"], "results file not found: /nonexistent.csv"),
+        (["gen-weights", "--graph", "/nonexistent.txt", "--out", "w.txt"],
+         "graph file not found: /nonexistent.txt"),
+    ])
+    def test_missing_input_file_is_a_config_error(self, argv, message, tmp_path, monkeypatch, capsys):
+        # both used to exit 2 with a FileNotFoundError
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_exit_code_2_on_runtime_failure(self, karate_files, capsys):
         g, w = karate_files
-        code = main(["dssr", "--graph", g, "--weights", w, "--seed", "0",
+        code = main(["dssr", "--graph", g, "--weights", w, "--seeds", "0",
                      "--budget", "100"])
         assert code == 2
         err = capsys.readouterr().err
@@ -520,7 +533,6 @@ class TestCli:
 _COMMON_FLAGS = [
     (("--graph",), "graph", None, None),
     (("--weights",), "weights", None, None),
-    (("--seed",), "seed", "int", None),
     (("--seeds",), "seeds", None, None),
     (("--out",), "out", None, None),
     (("--config",), "config", None, None),
@@ -577,6 +589,30 @@ def test_flag_surface_is_pinned():
         for name, sub in subs.choices.items()
     }
     assert surface == FLAG_SURFACE
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The arguments of each ``bench-cli`` command in README.md's fenced
+    blocks, with backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in text.split("```")[1::2]:
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.lstrip().startswith("bench-cli "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    # parsed only, not run: a flag the README shows but the parser lacks
+    # fails here instead of leaving the docs stale
+    commands = readme_cli_commands()
+    assert len(commands) >= 5
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: bench-cli {shlex.join(argv)}")
 
 
 # SHA-256 over each batch's output files (name and content, in name order),

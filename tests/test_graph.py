@@ -19,7 +19,7 @@ from densebandits.graph import (
     save_weights,
     star_edges,
 )
-from densebandits.solvers import exact_densest, second_best_density
+from densebandits.solvers import second_best_density
 
 from conftest import alive_mask, data_path, random_graph
 
@@ -165,7 +165,6 @@ class TestValidation:
 VERTEX_SET_READERS = {
     "density": lambda G, S: density(G, np.ones(G.m), S),
     "induced_edges": induced_edges,
-    "exact_densest": lambda G, S: exact_densest(G, np.ones(G.m), start=S),
     "second_best_density": lambda G, S: second_best_density(G, np.ones(G.m), best=S),
 }
 

@@ -91,6 +91,16 @@ class TestDeterminism:
         b = make_oracle(lollipop, w, seed=1).sample_edges([0, 1])
         assert a != b
 
+    def test_seed_must_be_an_integer(self, lollipop):
+        # int() would run 1.7 and True on seed 1's noise stream
+        w = np.ones(4)
+        for seed in (1.7, True, np.float64(2.0)):
+            with pytest.raises(ValueError, match="oracle seeds must be integers"):
+                make_oracle(lollipop, w, seed=seed)
+        a = make_oracle(lollipop, w, seed=np.int64(3))
+        assert a.seed == 3 and type(a.seed) is int
+        assert a.sample_edges([0, 1]) == make_oracle(lollipop, w, seed=3).sample_edges([0, 1])
+
     def test_noise_depends_on_query_index_not_content(self, lollipop):
         # the j-th query's noise is a function of (seed, j, |F|) alone, so
         # interchanging earlier queries cannot leak randomness across calls

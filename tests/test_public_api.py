@@ -31,7 +31,7 @@ SIGNATURES = {
     ],
     "NoiseModel": [("kind", "gaussian-per-edge"), ("R", 1.0)],
     "brute_force_densest": [("G", REQUIRED), ("w", REQUIRED)],
-    "exact_densest": [("G", REQUIRED), ("w", REQUIRED), ("start", None)],
+    "exact_densest": [("G", REQUIRED), ("w", REQUIRED)],
     "generate_arm_family": [("G", REQUIRED), ("k", REQUIRED), ("seed", REQUIRED)],
     "load_edge_list": [("path", REQUIRED)],
     "load_weights": [("path", REQUIRED), ("G", REQUIRED)],
