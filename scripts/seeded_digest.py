@@ -14,8 +14,8 @@ offline solvers follow, one line each per bundled graph: the exact optimum
 (subset and value; ``flow_calls`` measures cost, not output), the
 second-best density, and the greedy peel (``peeling_trace``'s order,
 densities, best subset and value). Last come the DS-Lin arm families of
-lesmis and polbooks at k = 10 and seed 0 (arms and edge sets; karate's is
-covered by its DS-Lin runs).
+lesmis and polbooks at k = 10 and seed 0 (arms, and the edges each
+induces; karate's is covered by its DS-Lin runs).
 
 The package is imported from ``PYTHONPATH`` first and from this checkout's
 ``src/`` otherwise, so comparing two checkouts is
@@ -52,6 +52,7 @@ from densebandits import (  # noqa: E402
     second_best_density,
 )
 from densebandits.experiments import default_budget, knockout_weights  # noqa: E402
+from densebandits.graph import induced_edges  # noqa: E402
 from densebandits.solvers import peeling_trace  # noqa: E402
 
 GRAPHS = ("karate", "lesmis", "polbooks")
@@ -138,8 +139,9 @@ def runs(seeds):
         yield f"g-oracle/{g}", digest(trace.order, trace.densities, trace.best_subset, trace.best_value)
 
     for g in GRAPHS[1:]:
-        family = generate_arm_family(load_edge_list(os.path.join(DATA, f"{g}.txt")), k=10, seed=0)
-        yield f"family/{g}", digest(family.arms, family.edge_sets)
+        G = load_edge_list(os.path.join(DATA, f"{g}.txt"))
+        family = generate_arm_family(G, k=10, seed=0)
+        yield f"family/{g}", digest(family.arms, tuple(tuple(induced_edges(G, arm)) for arm in family.arms))
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .dslin import ArmFamily
+from .dslin import ArmFamily, _arm_edges
 from .graph import Graph, as_weight_vector
 from .oracle import SamplingOracle, _check_oracle_graph
 from .solvers import exact_densest
@@ -31,7 +31,8 @@ def run_naive(
 ) -> tuple[int, ...]:
     """Uniform-arm baseline under a budget of T rounds.
 
-    Arms are drawn from a generator seeded with the oracle's seed. Arms with
+    Arms are drawn from a generator seeded with the oracle's seed; an arm
+    that is not a vertex set of G is refused before any query. Arms with
     no induced edges burn their round without an oracle call (the oracle
     refuses empty subsets). Negative running averages are clipped to
     zero before the final exact solve, mirroring the estimator clipping of
@@ -42,12 +43,12 @@ def run_naive(
         raise ValueError("budget T must be at least 1")
     if not family.arms:
         raise ValueError("arm family is empty")
+    edges = _arm_edges(G, family)
     rng = np.random.default_rng(oracle.seed)
     w_avg = np.zeros(G.m)
     visits = np.zeros(G.m, dtype=np.int64)
     for _ in range(T):
-        arm = int(rng.integers(len(family.arms)))
-        idx = family.edge_index[arm]
+        idx = edges[int(rng.integers(len(edges)))]
         if not idx.size:
             continue
         share = oracle.sample_edges(idx) / idx.size

@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"config error: {message}", file=sys.stderr)
         sys.exit(1)
 
+    def parse_known_args(self, args=None, namespace=None):  # noqa: D102
+        # each parser reports its own leftovers, so a subcommand's unknown
+        # flag comes with that subcommand's usage, not the top-level one
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 # flags of every algorithm subcommand; --config is not a config field
 _COMMON = ("graph", "weights", "seeds", "out", "config", "noise", "R")

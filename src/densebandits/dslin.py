@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, edge_mask
+from .graph import Graph, edge_mask, induced_edges
 from .oracle import _check_oracle_graph
 from .solvers import _densest, second_best_density
 
@@ -45,25 +44,24 @@ STOP_MODES = ("conservative", "exact-second-best")
 
 @dataclass(frozen=True)
 class ArmFamily:
-    """Queryable vertex subsets with cached induced-edge supports.
-
-    Every arm has at least the builder's ``k`` vertices and a nonempty
-    induced edge set, and the stacked edge indicators span R^m so the weight
-    vector is identifiable. ``p`` is the sampling allocation over arms.
+    """Queryable vertex subsets. An arm is a plain vertex set of the graph;
+    a run reads the edges it induces from the graph with ``induced_edges``,
+    which refuses an arm that is not a vertex set of the graph.
+    ``generate_arm_family``'s arms have at least its ``k`` vertices and a
+    nonempty induced edge set, and their edge indicators span R^m so the
+    weight vector is identifiable.
     """
 
     arms: tuple[tuple[int, ...], ...]
-    edge_sets: tuple[tuple[int, ...], ...]
-    p: np.ndarray
 
-    @cached_property
-    def edge_index(self) -> tuple[np.ndarray, ...]:
-        """Each edge set as a read-only ``np.intp`` array, built on first
-        use: the form the oracle checks fastest."""
-        index = tuple(np.array(es, dtype=np.intp) for es in self.edge_sets)
-        for idx in index:
-            idx.flags.writeable = False
-        return index
+
+def _arm_edges(G: Graph, family: ArmFamily) -> tuple[np.ndarray, ...]:
+    """Each arm's induced edges as a read-only ascending ``np.intp`` array,
+    the form the oracle checks fastest."""
+    edges = tuple(np.array(induced_edges(G, arm), dtype=np.intp) for arm in family.arms)
+    for idx in edges:
+        idx.flags.writeable = False
+    return edges
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,7 @@ class DesignState:
     b: np.ndarray
     counts: np.ndarray
     chi: np.ndarray
-    support: np.ndarray  # arms with positive allocation, ascending
-    alloc: np.ndarray  # the allocation p on the support
+    edges: tuple[np.ndarray, ...]  # each arm's ``_arm_edges`` array, chi's rows as the oracle is asked
     # update's m x m scratch for the Sherman-Morrison correction
     _outer: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -141,9 +138,8 @@ def generate_arm_family(G: Graph, k: int, seed: int) -> ArmFamily:
     The accepted indicators are kept orthonormalised in the rows of one
     m x m array. A candidate is projected off them by classical Gram-Schmidt
     applied twice, which keeps the rows orthonormal to working precision,
-    and kept when its residual norm exceeds the 1e-8 rank cut. Its edges
-    are read from ``graph.edge_mask``, so each edge set is ascending, as
-    ``induced_edges`` gives it."""
+    and kept when its residual norm exceeds the 1e-8 rank cut. A kept arm
+    is stored as its ascending vertex tuple."""
     if not (2 < k <= G.n):
         raise ValueError(f"need 2 < k <= n, got k={k}, n={G.n}")
     if G.m == 0:
@@ -152,7 +148,6 @@ def generate_arm_family(G: Graph, k: int, seed: int) -> ArmFamily:
     max_attempts = 1000 * G.m + 10000
     Q = np.empty((G.m, G.m))
     arms: list[tuple[int, ...]] = []
-    edge_sets: list[tuple[int, ...]] = []
     for _ in range(max_attempts):
         rank = len(arms)
         if rank == G.m:
@@ -172,14 +167,12 @@ def generate_arm_family(G: Graph, k: int, seed: int) -> ArmFamily:
             continue
         Q[rank] = r / nrm
         arms.append(tuple(sorted(members.tolist())))
-        edge_sets.append(tuple(es.tolist()))
     if len(arms) != G.m:
         raise ValueError(
             f"could not span all {G.m} edges with random size-[{k},{G.n}] arms "
             f"after {max_attempts} attempts"
         )
-    p = np.full(len(arms), 1.0 / len(arms))
-    return ArmFamily(arms=tuple(arms), edge_sets=tuple(edge_sets), p=p)
+    return ArmFamily(arms=tuple(arms))
 
 
 def default_weight_norm_bound(G: Graph) -> float:
@@ -191,37 +184,29 @@ def default_weight_norm_bound(G: Graph) -> float:
 def init_state(G: Graph, family: ArmFamily, params: DsLinParams) -> DesignState:
     m = G.m
     L = params.L if params.L is not None else default_weight_norm_bound(G)
-    masks = [edge_mask(G, arm) for arm in family.arms]
-    # the oracle sums each arm's edge set, so the design must read the same edges
-    if not all(np.array_equal(np.flatnonzero(mask), es) for mask, es in zip(masks, family.edge_index)):
-        raise ValueError("an arm's edge set is not the set of edges the arm induces")
-    chi = np.stack(masks).astype(np.float64)
-    support = np.flatnonzero(family.p > 0)
+    edges = _arm_edges(G, family)
+    chi = np.zeros((len(edges), m))
+    for arm, idx in enumerate(edges):
+        chi[arm, idx] = 1.0
     return DesignState(
         G=G,
         params=params,
         L=float(L),
-        Rprime=math.sqrt(max(len(es) for es in family.edge_sets)) * params.R,
+        Rprime=math.sqrt(max(idx.size for idx in edges)) * params.R,
         t=0,
         A_inv=np.eye(m) / params.lam,
         logdetA=m * math.log(params.lam),
         b=np.zeros(m),
         counts=np.zeros(len(family.arms), dtype=np.int64),
         chi=chi,
-        support=support,
-        alloc=family.p[support],
+        edges=edges,
     )
 
 
 def select_arm(state: DesignState) -> int:
-    """Index minimizing pull-count / allocation over the support of p,
-    taken once per run by ``init_state`` with p on it; ties go to the
-    lowest index."""
-    support = state.support
-    if support.size == 0:
-        raise ValueError("allocation has empty support")
-    ratios = state.counts[support] / state.alloc
-    return int(support[ratios.argmin()])
+    """The least-pulled arm, the lowest index among ties: uniform
+    allocation, so after the m initialization pulls the arms take turns."""
+    return int(state.counts.argmin())
 
 
 def design_matrix(state: DesignState) -> np.ndarray:
@@ -369,7 +354,7 @@ def run_dslin(
     state = init_state(G, family, params)
     diag = DsLinDiagnostics(est_err_trace=[] if w_true is not None else None, state=state)
     for arm in range(m):
-        reward = oracle.sample_edges(family.edge_index[arm])
+        reward = oracle.sample_edges(state.edges[arm])
         update(state, arm, reward)
 
     incumbent: tuple[int, ...] | None = None
@@ -400,7 +385,7 @@ def run_dslin(
             diag.stopped = True
             break
         arm = select_arm(state)
-        reward = oracle.sample_edges(family.edge_index[arm])
+        reward = oracle.sample_edges(state.edges[arm])
         update(state, arm, reward)
 
     diag.iterations = state.t

@@ -64,7 +64,8 @@ class Graph:
         n: int | None = None,
         labels: Sequence[str] | None = None,
     ) -> "Graph":
-        """Build a graph from integer vertex pairs, dropping loops/duplicates."""
+        """Build a graph from integer vertex pairs, dropping loops/duplicates.
+        Labels, one distinct string per vertex, default to the indices."""
         pairs = [(int(u), int(v)) for u, v in edge_pairs]
         if n is None:
             n = 1 + max((max(u, v) for u, v in pairs), default=-1)
@@ -95,6 +96,10 @@ class Graph:
             labels = [str(i) for i in range(n)]
         elif len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
+        labels = tuple(str(x) for x in labels)
+        if len(set(labels)) != n:
+            # a weight file names edges by label, so two vertices may not share one
+            raise ValueError(f"repeated vertex label {next(x for x in labels if labels.count(x) > 1)!r}")
         if loops or dups:
             log.warning("dropped %d self-loops and %d duplicate edges", loops, dups)
         return Graph(
@@ -102,7 +107,7 @@ class Graph:
             m=len(edges),
             edges=tuple(edges),
             adjacency=tuple(tuple(a) for a in adj),
-            labels=tuple(str(x) for x in labels),
+            labels=labels,
             self_loops_dropped=loops,
             duplicates_dropped=dups,
         )

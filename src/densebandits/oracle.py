@@ -126,8 +126,8 @@ class SamplingOracle:
         numpy array. The cheapest form is one tuple object passed again
         and again, as DS-SR does with a star and ``run_r_oracle`` with an
         edge: only its first query in a row is checked. Next comes an
-        ascending ``np.intp`` array, such as ``ArmFamily.edge_index``
-        holds. Lists and arrays are checked on every call, since they can
+        ascending ``np.intp`` array, as DS-Lin and the naive baseline pass
+        each arm's ``induced_edges``. Lists and arrays are checked on every call, since they can
         change in place. A bool or float entry, an empty or repeated
         subset and an index outside the graph raise ``ValueError`` and draw
         no noise. Each call is one counted query at its own counter.

@@ -14,12 +14,8 @@ from conftest import RecordingOracle, random_graph
 
 
 def singleton_edge_family(G):
-    # one arm per edge; p is irrelevant to the uniform-arm baseline
-    return ArmFamily(
-        arms=tuple(G.edges),
-        edge_sets=tuple((i,) for i in range(G.m)),
-        p=np.full(G.m, 1.0 / G.m),
-    )
+    # one arm per edge: the pair induces that edge alone
+    return ArmFamily(arms=tuple(G.edges))
 
 
 class TestNaive:
@@ -30,7 +26,7 @@ class TestNaive:
             run_naive(lollipop, fam, orc, T=0)
 
     def test_rejects_empty_family(self, lollipop):
-        fam = ArmFamily(arms=(), edge_sets=(), p=np.zeros(0))
+        fam = ArmFamily(arms=())
         orc = make_oracle(lollipop, np.ones(4), NoiseModel(kind="none"), seed=0)
         with pytest.raises(ValueError, match="empty"):
             run_naive(lollipop, fam, orc, T=5)
@@ -61,11 +57,7 @@ class TestNaive:
     def test_empty_edge_arm_burns_round_without_query(self, lollipop):
         # arm 0 is a lone vertex: no induced edges, so its rounds issue
         # no oracle call but still consume budget
-        fam = ArmFamily(
-            arms=((3,), (0, 1, 2)),
-            edge_sets=((), (0, 1, 2)),
-            p=np.array([0.5, 0.5]),
-        )
+        fam = ArmFamily(arms=((3,), (0, 1, 2)))
         orc = RecordingOracle(make_oracle(lollipop, np.ones(4), NoiseModel(kind="none"), seed=11))
         T = 24
         run_naive(lollipop, fam, orc, T=T)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densebandits import dslin
+from densebandits.baselines import run_naive
 from densebandits.graph import Graph, density, induced_edges, load_edge_list
 from densebandits.dslin import (
     ArmFamily,
@@ -33,17 +34,15 @@ def scalar_state(lam=1.0, R=1.0, L=1.0, delta=0.1):
     """m=1 design on a single-edge graph; the family is built directly
     (a generated family needs arms of at least 3 vertices)."""
     G = Graph.from_edges([(0, 1)], 2)
-    family = ArmFamily(arms=((0, 1),), edge_sets=((0,),), p=np.array([1.0]))
+    family = ArmFamily(arms=((0, 1),))
     params = DsLinParams(epsilon=0.1, delta=delta, lam=lam, R=R, L=L)
     return G, family, init_state(G, family, params)
 
 
-def lollipop_family(p=(0.25, 0.25, 0.25, 0.25)) -> ArmFamily:
+def lollipop_family() -> ArmFamily:
     """Hand-picked spanning family on the lollipop: the induced edge sets
     {0,1,2}, {0,1,2,3}, {0,3} and {1,3} have rank 4."""
-    arms = ((0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 2, 3))
-    edge_sets = ((0, 1, 2), (0, 1, 2, 3), (0, 3), (1, 3))
-    return ArmFamily(arms=arms, edge_sets=edge_sets, p=np.array(p))
+    return ArmFamily(arms=((0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 2, 3)))
 
 
 class TestParams:
@@ -87,27 +86,12 @@ class TestArmFamily:
     def test_edgeless_arm_rejected(self, star4):
         # {1, 2, 3} induces no edge of the star; every kept arm holds the hub
         fam = generate_arm_family(star4, k=3, seed=0)
-        assert all(fam.edge_sets) and all(0 in a for a in fam.arms)
-        assert fam.edge_sets == tuple(tuple(induced_edges(star4, a)) for a in fam.arms)
+        assert all(induced_edges(star4, a) for a in fam.arms) and all(0 in a for a in fam.arms)
 
     def test_edgeless_graph_rejected(self):
         # n = 3 allows k = 3, but with m = 0 there is nothing to span
         with pytest.raises(ValueError, match="no edges"):
             generate_arm_family(Graph.from_edges([], 3), k=3, seed=0)
-
-    def test_bad_allocation_rejected(self, lollipop):
-        fam = lollipop_family(p=(0.0, 0.0, 0.0, 0.0))
-        state = init_state(lollipop, fam, DsLinParams())
-        with pytest.raises(ValueError, match="empty support"):
-            select_arm(state)
-
-    def test_edge_sets_must_be_the_induced_edges(self, lollipop):
-        # the design reads each arm's induced edges and the oracle sums its
-        # edge set; a family where they differ would fit the wrong weights
-        arms = ((0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 2, 3))
-        fam = ArmFamily(arms=arms, edge_sets=((0, 1, 2), (0, 1, 2, 3), (0, 3), (1,)), p=np.full(4, 0.25))
-        with pytest.raises(ValueError, match="edges the arm induces"):
-            init_state(lollipop, fam, DsLinParams())
 
     def test_span_deficit_rejected(self, lollipop):
         # at k = n the only arm is the whole vertex set, of rank 1 < m
@@ -120,7 +104,7 @@ class TestArmFamily:
         oracle = make_oracle(lollipop, w, noise="none", seed=0)
         params = DsLinParams(epsilon=0.5, delta=0.1, lam=1e-12, R=0.0, L=float(np.linalg.norm(w)))
         fam = lollipop_family()
-        assert fam.edge_sets == tuple(tuple(induced_edges(lollipop, a)) for a in fam.arms)
+        assert [induced_edges(lollipop, a) for a in fam.arms] == [[0, 1, 2], [0, 1, 2, 3], [0, 3], [1, 3]]
         subset, diag = run_dslin(lollipop, fam, oracle, params, max_iters=500)
         assert diag.stopped and subset == (0, 1, 2)
         assert diag.state.counts.tolist() == [1, 1, 1, 1]
@@ -129,10 +113,11 @@ class TestArmFamily:
         fam1 = generate_arm_family(lollipop, k=3, seed=12)
         fam2 = generate_arm_family(lollipop, k=3, seed=12)
         assert fam1.arms == fam2.arms
+        assert fam1 == fam2  # a family is its arms, compared by value
         assert len(fam1.arms) == lollipop.m
         mat = np.zeros((len(fam1.arms), lollipop.m))
-        for i, es in enumerate(fam1.edge_sets):
-            mat[i, list(es)] = 1.0
+        for i, arm in enumerate(fam1.arms):
+            mat[i, induced_edges(lollipop, arm)] = 1.0
         assert np.linalg.matrix_rank(mat) == lollipop.m
 
     def test_generation_failure_when_span_impossible(self, k4):
@@ -140,8 +125,8 @@ class TestArmFamily:
         with pytest.raises(ValueError, match="span"):
             generate_arm_family(k4, k=3, seed=0)
 
-    # SHA-256 of repr((arms, edge_sets)) at k = 10, recorded on the commit
-    # before the rank test was batched
+    # SHA-256 of repr((arms, edge sets)) at k = 10, recorded on the commit
+    # before the rank test was batched, when a family stored its edge sets
     FAMILY_PINS = {
         ("karate", 0): "fcb365b6de7634587c769a05b0e7f784c87b9135ddaac4afba962f9324eb6b0b",
         ("karate", 1): "5271a0be7b3dea685212c0cd136d5e7c2ab54e8cb6381c36a44399b4f40ad0a6",
@@ -156,8 +141,10 @@ class TestArmFamily:
 
     @pytest.mark.parametrize("name, seed", list(FAMILY_PINS))
     def test_bundled_families_are_pinned(self, name, seed):
-        fam = generate_arm_family(load_edge_list(data_path(f"{name}.txt")), k=10, seed=seed)
-        digest = hashlib.sha256(repr((fam.arms, fam.edge_sets)).encode()).hexdigest()
+        G = load_edge_list(data_path(f"{name}.txt"))
+        fam = generate_arm_family(G, k=10, seed=seed)
+        edge_sets = tuple(tuple(induced_edges(G, arm)) for arm in fam.arms)
+        digest = hashlib.sha256(repr((fam.arms, edge_sets)).encode()).hexdigest()
         assert digest == self.FAMILY_PINS[name, seed]
 
 
@@ -211,7 +198,7 @@ class TestDesignUpdates:
         state = init_state(lollipop, fam, DsLinParams(lam=1.0, R=2.0, L=0.0, delta=0.1))
         # the arm (0, 1, 2, 3) induces all 4 edges, so an observation carries
         # 4 noise terms and the leading factor is sqrt(4) * 2
-        assert max(len(es) for es in fam.edge_sets) == 4
+        assert max(len(induced_edges(lollipop, a)) for a in fam.arms) == 4
         assert state.Rprime == 4.0
         assert confidence_radius(state) == pytest.approx(
             4.0 * math.sqrt(2.0 * math.log(10.0)), abs=1e-12
@@ -224,18 +211,12 @@ class TestSelectArm:
         state = init_state(lollipop, fam, DsLinParams())
         assert select_arm(state) == 0
 
-    def test_count_over_allocation_ratio(self, lollipop):
-        fam = lollipop_family(p=(0.5, 0.25, 0.125, 0.125))
-        state = init_state(lollipop, fam, DsLinParams())
-        state.counts[:] = [1, 0, 2, 1]
-        # ratios: 2, 0, 16, 8
+    def test_least_pulled_arm_ties_go_low(self, lollipop):
+        state = init_state(lollipop, lollipop_family(), DsLinParams())
+        state.counts[:] = [2, 1, 3, 1]
         assert select_arm(state) == 1
-
-    def test_zero_allocation_excluded(self, lollipop):
-        fam = lollipop_family(p=(0.5, 0.5, 0.0, 0.0))
-        state = init_state(lollipop, fam, DsLinParams())
-        state.counts[:] = [9, 9, 0, 0]
-        assert select_arm(state) == 0  # ties inside the support go low
+        state.counts[:] = [2, 3, 2, 4]
+        assert select_arm(state) == 0
 
 
 class TestQpBound:
@@ -304,7 +285,7 @@ class TestStopRule:
         # lambda = 1 give A^-1 = I/2, A^-1 b = (5, r/2), and width = U = 1
         # for the incumbent {0, 1, 2}. C = 0.01 * sqrt(2 ln 2 + 2 ln 10) + 0.01.
         G = Graph.from_edges([(0, 1), (1, 2)], 3)
-        family = ArmFamily(arms=((0, 1), (1, 2)), edge_sets=((0,), (1,)), p=np.array([0.5, 0.5]))
+        family = ArmFamily(arms=((0, 1), (1, 2)))
         params = DsLinParams(epsilon=0.3, delta=0.1, lam=1.0, R=0.01, L=0.01)
         for reward, fires in ((4.0, True), (-4.0, False)):
             state = init_state(G, family, params)
@@ -492,7 +473,7 @@ def test_confidence_set_holds_at_every_round(unit_ridge_karate, seed):
     oracle = RecordingOracle(make_oracle(G, w, NoiseModel(kind="gaussian-per-edge", R=1.0), seed))
     _, diag = run_dslin(G, family, oracle, params, max_iters=m + 2000)
     assert len(oracle.queries) == diag.iterations == m + 2000
-    arm_of = {es: arm for arm, es in enumerate(family.edge_sets)}
+    arm_of = {tuple(induced_edges(G, members)): arm for arm, members in enumerate(family.arms)}
     state = init_state(G, family, params)
     A = params.lam * np.eye(m)
     S = np.zeros(m)
@@ -532,13 +513,50 @@ def test_generated_family_spans_exactly_when_some_family_can(seed, n):
         return
     fam = generate_arm_family(G, k, seed)
     chi = np.zeros((len(fam.arms), G.m))
-    for i, es in enumerate(fam.edge_sets):
-        chi[i, list(es)] = 1.0
+    for i, arm in enumerate(fam.arms):
+        chi[i, induced_edges(G, arm)] = 1.0
     assert len(fam.arms) == G.m
     assert np.linalg.matrix_rank(chi) == G.m
-    for arm, es in zip(fam.arms, fam.edge_sets):
+    for arm in fam.arms:
         assert len(arm) >= k and list(arm) == sorted(set(arm))
-        assert es == tuple(induced_edges(G, arm))
+        assert induced_edges(G, arm)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_both_arm_callers_query_the_edges_the_arm_induces(seed):
+    # DS-Lin pulls every arm once and then the least-pulled one, so its
+    # i-th query is arm i mod m; the naive baseline's arms replay from a
+    # generator seeded with the oracle's seed
+    G = random_graph(np.random.default_rng(seed), 9, p=0.4)
+    family = generate_arm_family(G, k=3, seed=seed)
+    edges = [induced_edges(G, arm) for arm in family.arms]
+    w = np.random.default_rng(seed).uniform(0.0, 10.0, G.m)
+    noise = NoiseModel(kind="gaussian-per-edge", R=1.0)
+    lin = RecordingOracle(make_oracle(G, w, noise, seed))
+    _, diag = run_dslin(G, family, lin, DsLinParams(), max_iters=3 * G.m + 2)
+    assert len(lin.queries) == diag.iterations == 3 * G.m + 2
+    assert all(list(F) == edges[i % G.m] for i, (F, _) in enumerate(lin.queries))
+    naive = RecordingOracle(make_oracle(G, w, noise, seed))
+    run_naive(G, family, naive, T=50)
+    replay = np.random.default_rng(seed)
+    assert len(naive.queries) == 50
+    assert all(list(F) == edges[int(replay.integers(G.m))] for F, _ in naive.queries)
+
+
+@pytest.mark.parametrize("arm, message", [
+    ((0, 2, 7), "vertex index out of range for n=4"),
+    ((-1, 0, 2), "vertex index out of range for n=4"),
+    ((0, 2, 3.0), "vertex indices must be integers"),
+    ((0, 2, True), "vertex indices must be integers"),
+])
+def test_both_arm_callers_refuse_an_arm_outside_the_graph(lollipop, arm, message):
+    family = ArmFamily(arms=((0, 1, 2), (0, 1, 2, 3), (0, 1, 3), arm))
+    oracle = make_oracle(lollipop, np.ones(4), seed=0)
+    with pytest.raises(ValueError, match=message):
+        run_dslin(lollipop, family, oracle, DsLinParams(), max_iters=10)
+    with pytest.raises(ValueError, match=message):
+        run_naive(lollipop, family, oracle, T=10)
+    assert oracle.total_queries == 0
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=3, max_value=12))
@@ -556,7 +574,7 @@ def test_long_horizon_updates_at_unit_ridge_stay_within_drift_tolerance(seed, n)
         if es:
             arms.append(members)
             edge_sets.append(es)
-    family = ArmFamily(arms=tuple(arms), edge_sets=tuple(edge_sets), p=np.full(G.m, 1.0 / G.m))
+    family = ArmFamily(arms=tuple(arms))
     state = init_state(G, family, DsLinParams(lam=1.0))
     pulls = rng.dirichlet(np.full(G.m, 0.3))
     for _ in range(2300):

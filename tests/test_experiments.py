@@ -470,6 +470,21 @@ class TestCli:
         assert exc.value.code == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_unknown_flag_shows_the_usage_of_its_command(self, lollipop_files, capsys):
+        # a subcommand's leftover flag used to be reported with the
+        # top-level usage, which lists the subcommands but not the flags
+        g, w = lollipop_files
+        for argv, usage in (
+            (["dssr", "--graph", g, "--bogus"], "usage: bench-cli dssr [-h] [--graph GRAPH]"),
+            (["--bogus", "dssr", "--graph", g], "usage: bench-cli [-h]\n"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(usage)
+            assert err.endswith("config error: unrecognized arguments: --bogus\n")
+
     @pytest.mark.parametrize("flag", [["--seed", "7"], ["--lam", "100"], ["--budg", "60"]])
     def test_no_seed_alias_and_no_abbreviations(self, lollipop_files, capsys, flag):
         # --seed was a second spelling of --seeds, and argparse would take

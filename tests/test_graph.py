@@ -39,6 +39,16 @@ class TestFromEdges:
         with pytest.raises(ValueError):
             Graph.from_edges([(0, 5)], 3)
 
+    def test_repeated_label_rejected(self):
+        # save_weights names each edge by its labels, so a shared label would
+        # write a file that load_weights refuses as a duplicate weight
+        with pytest.raises(ValueError, match="repeated vertex label 'a'"):
+            Graph.from_edges([(0, 1), (1, 2), (0, 2)], labels=["a", "b", "a"])
+        # labels are compared as the strings they are stored as
+        with pytest.raises(ValueError, match="repeated vertex label '1'"):
+            Graph.from_edges([(0, 1)], labels=[1, "1"])
+        assert Graph.from_edges([(0, 1)], labels=["a", "b"]).labels == ("a", "b")
+
     def test_adjacency_carries_edge_indices(self, lollipop):
         assert set(lollipop.adjacency[0]) == {(1, 0), (2, 1), (3, 3)}
         assert len(lollipop.adjacency[0]) == 3

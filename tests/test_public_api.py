@@ -58,7 +58,7 @@ FIELDS = {
         "incumbent_density_trace", "est_err_trace", "state",
     ],
     DssrDiagnostics: ["removal_order", "fhat_trace", "phase_rows", "total_queries"],
-    ArmFamily: ["arms", "edge_sets", "p"],
+    ArmFamily: ["arms"],
     RunRecord: [
         "algo", "graph", "seed", "budget", "quality", "opt", "out_size", "total_queries",
         "single_edge_queries", "elapsed_ms", "subset_labels",
